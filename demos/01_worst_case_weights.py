@@ -11,7 +11,7 @@ example you can check by hand.
 
 import numpy as np
 
-from crpolicy import oracle_box, solve_box, solve_budgeted, weight_bounds
+from crpolicy import oracle_box, oracle_budgeted, solve_box, solve_budgeted, weight_bounds
 from crpolicy.subproblem import threshold_values
 
 # Three logged units with nominal propensity 2/3 each, so nominal inverse
@@ -45,7 +45,9 @@ for lam in (0.0, 0.1, 0.25, 0.5):
     bud = solve_budgeted(r, a, b, w_tilde, lam)
     print(f"  budget {lam:4.2f}: value {bud.value:.4f}  (multiplier {bud.multiplier})")
 
-# The two independent budgeted routes agree to solver precision.
-s1 = solve_budgeted(r, a, b, w_tilde, 0.25, route="simplex")
-s2 = solve_budgeted(r, a, b, w_tilde, 0.25, route="eta")
-print(f"\nsimplex route {s1.value:.12f} vs multiplier-bisection route {s2.value:.12f}")
+# Dinkelbach's ratio iteration agrees with the Charnes-Cooper LP reference
+# to solver precision, budget multiplier included.
+s1 = solve_budgeted(r, a, b, w_tilde, 0.25)
+s2 = oracle_budgeted(r, a, b, w_tilde, 0.25)
+print(f"\nDinkelbach {s1.value:.12f} (multiplier {s1.multiplier:.6f})")
+print(f"LP oracle  {s2.value:.12f} (multiplier {s2.multiplier:.6f})")

@@ -128,12 +128,15 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--rho", type=float, help="budget fraction in [0,1]; omit for the box set")
 
-    def add_fitopts(p):
+    def add_fitopts(p, tree=False):
         p.add_argument("--baseline", choices=["control", "uniform", "file"], help="baseline policy")
         p.add_argument("--baseline-file", dest="baseline_file", help="policy JSON when --baseline file")
-        p.add_argument("--policy", choices=["logistic", "tree"], help="policy class to fit")
-        p.add_argument("--depth", type=int, help="tree depth (policy=tree)")
-        p.add_argument("--min-leaf", dest="min_leaf", type=int, help="minimum units per leaf (policy=tree)")
+        if tree:
+            p.add_argument("--policy", choices=["logistic", "tree"], help="policy class to fit")
+            p.add_argument("--depth", type=int, help="tree depth (policy=tree)")
+            p.add_argument("--min-leaf", dest="min_leaf", type=int, help="minimum units per leaf (policy=tree)")
+        else:
+            p.add_argument("--policy", choices=["logistic"], help="policy class to fit (logistic only)")
         p.add_argument("--restarts", type=int, help="subgradient restarts")
         p.add_argument("--iters", type=int, help="subgradient iterations per restart")
         p.add_argument("--eta0", type=float, help="initial step size")
@@ -150,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a confounding-robust policy")
     add_io(p_fit)
     add_gamma(p_fit)
-    add_fitopts(p_fit)
+    add_fitopts(p_fit, tree=True)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a saved policy on a dataset")
     add_io(p_eval)
@@ -185,6 +188,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Commands that always fit logistic policies; their parsers have no tree options.
+_LOGISTIC_ONLY = ("simulate", "calibrate")
+
+
+def _reject_tree_options(command: str, cfg_path: str, cfg: dict) -> None:
+    for key, val in cfg.items():
+        name = key.replace("_", "-")
+        if name in ("depth", "min-leaf") or (name == "policy" and val != "logistic"):
+            raise CRPolicyError(
+                f"{cfg_path}: {command} fits logistic policies only and does not take --{name}"
+            )
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
     merged = dict(_DEFAULTS)
     cfg_path = getattr(args, "config", None)
@@ -195,6 +211,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise CRPolicyError(f"{cfg_path}: config must be a JSON object")
         for key, val in cfg.items():
             merged[key.replace("-", "_")] = val
+        if args.command in _LOGISTIC_ONLY:
+            _reject_tree_options(args.command, cfg_path, cfg)
     for key, val in vars(args).items():
         if val is not None:
             merged[key] = val

@@ -1,6 +1,6 @@
 """Exact worst-case solvers for the weighted-fractional inner problem.
 
-Both solvers maximize the self-normalized objective
+The solvers maximize the self-normalized objective
 
     Q(W) = sum_i r_i W_i / sum_i W_i
 
@@ -9,6 +9,9 @@ mean absolute-deviation budget around the nominal weights. The box case has
 a closed-form threshold solution: sort the units by r (ties broken on
 b - a), and the optimum assigns a below some cut index and b at or above
 it, with the cut found by scanning a discrete concave unimodal sequence.
+The budgeted case runs Dinkelbach's ratio iteration, each step a greedy
+fractional knapsack. Two exact references check them in tests: corner
+enumeration for the box, and a Charnes-Cooper LP for the budget.
 
 All functions operate on one treatment arm at a time; callers slice their
 data per arm and sum the arm values.
@@ -24,7 +27,14 @@ import numpy as np
 from .exceptions import SolverError
 from .simplex import simplex_solve
 
-__all__ = ["SubproblemSolution", "solve_box", "solve_budgeted", "oracle_box", "threshold_values"]
+__all__ = [
+    "SubproblemSolution",
+    "solve_box",
+    "solve_budgeted",
+    "oracle_box",
+    "oracle_budgeted",
+    "threshold_values",
+]
 
 
 @dataclass(frozen=True)
@@ -33,8 +43,10 @@ class SubproblemSolution:
 
     `threshold` is the 1-based cut index k* in [1, k+1] for the box set; in
     the sorted order the first k*-1 units sit at their lower bounds.
-    `multiplier` is the Lagrange multiplier of the budget constraint and is
-    set only by the budgeted solver.
+    `multiplier` is set only by the budgeted solvers: the Lagrange multiplier
+    of the budget constraint, which for `solve_budgeted` is the marginal
+    gain |r_j - value| of the last unit the budget reaches in the greedy
+    knapsack at the optimum (0 when the budget is slack, None at lam = 0).
     """
 
     value: float
@@ -138,31 +150,40 @@ def oracle_box(r, a, b) -> float:
     return best
 
 
-def _nominal_solution(r, w_tilde, multiplier=None) -> SubproblemSolution:
+def _nominal_solution(r, w_tilde) -> SubproblemSolution:
     value = float(np.dot(r, w_tilde) / w_tilde.sum())
-    return SubproblemSolution(value=value, weights=w_tilde.copy(), multiplier=multiplier)
+    return SubproblemSolution(value=value, weights=w_tilde.copy())
 
 
-def solve_budgeted(r, a, b, w_tilde, lam: float, route: str = "simplex") -> SubproblemSolution:
-    """Maximize sum(r W) / sum(W) over the box intersected with the budget
-    (1/k) sum_i |W_i - W_tilde_i| <= lam.
-
-    The default route linearizes the fractional program by the
-    Charnes-Cooper change of variables (w = psi W, psi = 1 / sum W) and
-    solves the resulting LP with a dense simplex. `route="eta"` instead
-    bisects the budget's Lagrange multiplier, solving each relaxed inner
-    problem exactly by a threshold scan over per-unit up/down deviations;
-    both routes agree to high precision and the second serves as a
-    cross-check on the first.
-    """
+def _validated_budget(r, a, b, w_tilde, lam) -> tuple:
     r, a, b = _validated(r, a, b)
     w_tilde = np.asarray(w_tilde, dtype=float).reshape(-1)
     if w_tilde.shape != r.shape:
         raise ValueError("w_tilde must match r in length")
+    if not np.all(np.isfinite(w_tilde)):
+        raise ValueError("nominal weights must be finite")
     if np.any(w_tilde < a - 1e-12) or np.any(w_tilde > b + 1e-12):
         raise ValueError("nominal weights must lie inside [a, b]")
     if not np.isfinite(lam) or lam < 0.0:
         raise ValueError(f"budget must be a finite real >= 0, got {lam}")
+    return r, a, b, w_tilde
+
+
+_MAX_DINKELBACH_STEPS = 100
+
+
+def solve_budgeted(r, a, b, w_tilde, lam: float) -> SubproblemSolution:
+    """Maximize sum(r W) / sum(W) over the box intersected with the budget
+    (1/k) sum_i |W_i - W_tilde_i| <= lam, exactly.
+
+    Dinkelbach's ratio iteration: starting from the nominal value, each
+    step maximizes sum((r - value) W) over the set, a fractional knapsack
+    solved greedily in O(k log k), and takes the ratio of the maximizer as
+    the next value. The value rises strictly until it is optimal and the
+    knapsack has finitely many greedy orders, so the iteration stops after
+    a few steps. `multiplier` is the budget's marginal gain at the optimum.
+    """
+    r, a, b, w_tilde = _validated_budget(r, a, b, w_tilde, lam)
     if lam == 0.0:
         return _nominal_solution(r, w_tilde)
     total = lam * r.size
@@ -170,23 +191,59 @@ def solve_budgeted(r, a, b, w_tilde, lam: float, route: str = "simplex") -> Subp
     box = solve_box(r, a, b)
     if np.abs(box.weights - w_tilde).sum() <= total + 1e-12:
         return SubproblemSolution(box.value, box.weights, multiplier=0.0)
-    if route == "simplex":
-        return _budgeted_simplex(r, a, b, w_tilde, total)
-    if route == "eta":
-        return _budgeted_eta(r, a, b, w_tilde, total)
-    raise ValueError(f"unknown route {route!r}; use 'simplex' or 'eta'")
+    weights = w_tilde.copy()
+    value = float(np.dot(r, weights) / weights.sum())
+    for _ in range(_MAX_DINKELBACH_STEPS):
+        step, gain = _fractional_knapsack(r - value, a, b, w_tilde, total)
+        step_value = float(np.dot(r, step) / step.sum())
+        if step_value <= value:
+            return SubproblemSolution(value=value, weights=weights, multiplier=gain)
+        weights, value = step, step_value
+    raise SolverError(f"Dinkelbach iteration did not settle in {_MAX_DINKELBACH_STEPS} steps")
 
 
-def _budgeted_simplex(r, a, b, w_tilde, total) -> SubproblemSolution:
-    """Charnes-Cooper LP: variables (w_1..w_k, d_1..d_k, psi), all >= 0.
+def _fractional_knapsack(score, a, b, w_tilde, total) -> tuple:
+    """Maximize score' W over the box subject to sum |W - W~| <= total.
+
+    Each unit moves only the way its score rewards and earns |score_i| per
+    unit of budget, so the greedy order by gain is exact: the cumulative
+    caps in that order say how much budget is left for each unit. Returns
+    the maximizer and the gain of the last unit the budget reaches (0 when
+    every rewarded move fits in the budget).
+    """
+    gain = np.abs(score)
+    cap = np.where(score > 0, b - w_tilde, np.where(score < 0, w_tilde - a, 0.0))
+    order = np.argsort(-gain, kind="stable")
+    cap_sorted = cap[order]
+    spent = np.cumsum(cap_sorted)
+    move_sorted = np.clip(total - (spent - cap_sorted), 0.0, cap_sorted)
+    move = np.empty_like(move_sorted)
+    move[order] = move_sorted
+    weights = w_tilde + np.sign(score) * move
+    if spent[-1] <= total:
+        return weights, 0.0
+    last = np.flatnonzero(move_sorted > 0.0)[-1]
+    return weights, float(gain[order[last]])
+
+
+def oracle_budgeted(r, a, b, w_tilde, lam: float) -> SubproblemSolution:
+    """LP reference for solve_budgeted: the Charnes-Cooper linearization
+    (w = psi W, psi = 1 / sum W) solved by the dense simplex in `simplex.py`.
+
+    Variables (w_1..w_k, d_1..d_k, psi), all >= 0:
 
         max  r' w
         s.t. sum w = 1
              a_i psi - w_i <= 0,   w_i - b_i psi <= 0
              w_i - W~_i psi - d_i <= 0,   W~_i psi - w_i - d_i <= 0
-             sum d - total * psi <= 0
+             sum d - lam k psi <= 0
+
+    The tableau is dense in k, so this refuses k > 200.
     """
+    r, a, b, w_tilde = _validated_budget(r, a, b, w_tilde, lam)
     k = r.size
+    if k > 200:
+        raise ValueError(f"oracle_budgeted builds a dense simplex tableau; k={k} is too large (max 200)")
     nvar = 2 * k + 1
     c = np.zeros(nvar)
     c[:k] = -r  # simplex minimizes
@@ -205,7 +262,7 @@ def _budgeted_simplex(r, a, b, w_tilde, total) -> SubproblemSolution:
     A_ub[3 * k : 4 * k, k : 2 * k] = -eye
     A_ub[3 * k : 4 * k, -1] = w_tilde
     A_ub[4 * k, k : 2 * k] = 1.0
-    A_ub[4 * k, -1] = -total
+    A_ub[4 * k, -1] = -lam * k
     A_eq = np.zeros((1, nvar))
     A_eq[0, :k] = 1.0
     res = simplex_solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.ones(1))
@@ -217,135 +274,3 @@ def _budgeted_simplex(r, a, b, w_tilde, total) -> SubproblemSolution:
     # The min-form dual of the budget row is <= 0; the reported multiplier is its negation.
     eta = float(max(0.0, -res.dual_ub[4 * k]))
     return SubproblemSolution(value=value, weights=weights, multiplier=eta)
-
-
-def _deviation_directions(r, a, b, w_tilde, eta):
-    """Per-direction numerator slopes, denominator slopes, and capacities.
-
-    Direction 2i   raises W_i toward b_i (slope r_i - eta, denominator +1).
-    Direction 2i+1 lowers W_i toward a_i (slope -r_i - eta, denominator -1).
-    """
-    k = r.size
-    alpha = np.empty(2 * k)
-    beta = np.empty(2 * k)
-    cap = np.empty(2 * k)
-    alpha[0::2] = r - eta
-    alpha[1::2] = -r - eta
-    beta[0::2] = 1.0
-    beta[1::2] = -1.0
-    cap[0::2] = b - w_tilde
-    cap[1::2] = w_tilde - a
-    return alpha, beta, cap
-
-
-def _relaxed_value(r, a, b, w_tilde, eta, bonus):
-    """Exact max of [sum r W - eta sum|W - W~| + bonus] / sum W over the box.
-
-    Piecewise-linear parametric root-find: F(lam) = max_W {num - lam * den}
-    is strictly decreasing with slope -sum(W) < 0, so its root equals the
-    optimum. Breakpoints occur where a direction's reduced slope changes
-    sign; between breakpoints F is linear.
-    """
-    alpha, beta, cap = _deviation_directions(r, a, b, w_tilde, eta)
-    c0 = float(np.dot(r, w_tilde)) + bonus
-    d0 = float(w_tilde.sum())
-    # Breakpoints lam where alpha_j - lam * beta_j changes sign (beta = +-1).
-    bp = np.unique(alpha * beta)
-
-    def F(lam):
-        act = (alpha - lam * beta) > 0.0
-        num = c0 + float(np.dot(cap[act], alpha[act]))
-        den = d0 + float(np.dot(cap[act], beta[act]))
-        return num - lam * den, num, den, act
-
-    # F is continuous, piecewise linear, strictly decreasing (slope -sum W).
-    # Binary search for the first breakpoint with F <= 0, then solve the
-    # linear piece just below it exactly.
-    lo, hi = 0, bp.size
-    while lo < hi:
-        mid = (lo + hi) // 2
-        val, *_ = F(bp[mid])
-        if val > 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo == 0:
-        probe = bp[0] - 1.0
-    elif lo == bp.size:
-        probe = bp[-1] + 1.0
-    else:
-        probe = 0.5 * (bp[lo - 1] + bp[lo])
-    _, num, den, act = F(probe)
-    lam_star = num / den
-    # Recover the attaining deviations on that piece.
-    z = np.where(act, cap, 0.0)
-    dev = z[0::2] - z[1::2]
-    W = w_tilde + dev
-    return lam_star, W
-
-
-def _budgeted_eta(r, a, b, w_tilde, total) -> SubproblemSolution:
-    """Outer bisection on the budget multiplier eta >= 0.
-
-    g(eta) = max over the box of the budget-relaxed objective is convex
-    with subgradient sign given by (total - deviation at the argmax); the
-    minimizing eta is bracketed by doubling and then bisected. Feasible
-    attaining weights are recovered by a final Dinkelbach polish of the
-    budget-constrained knapsack at the converged value.
-    """
-
-    def slack(eta):
-        _, W = _relaxed_value(r, a, b, w_tilde, eta, bonus=eta * total)
-        return total - np.abs(W - w_tilde).sum()
-
-    lo = 0.0
-    hi = 1.0
-    for _ in range(100):
-        if slack(hi) >= 0:
-            break
-        hi *= 2.0
-    else:
-        raise SolverError("budget multiplier bracket did not close")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if slack(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            break
-    eta = hi
-    value, _ = _relaxed_value(r, a, b, w_tilde, eta, bonus=eta * total)
-    # Dinkelbach polish on the primal problem for exact feasible weights.
-    lam = value
-    W = w_tilde
-    for _ in range(100):
-        W = _knapsack_argmax(r - lam, a, b, w_tilde, total)
-        new_lam = float(np.dot(r, W) / W.sum())
-        if abs(new_lam - lam) <= 1e-15 * max(1.0, abs(lam)):
-            lam = new_lam
-            break
-        lam = new_lam
-    return SubproblemSolution(value=float(lam), weights=W, multiplier=float(eta))
-
-
-def _knapsack_argmax(score, a, b, w_tilde, total):
-    """Maximize score' W over the box subject to sum |W - W~| <= total.
-
-    Fractional-knapsack greedy: each unit's beneficial direction earns
-    |score_i| per unit of budget; spend the budget on the largest gains.
-    """
-    gain = np.abs(score)
-    cap = np.where(score > 0, b - w_tilde, w_tilde - a)
-    order = np.argsort(-gain, kind="stable")
-    W = w_tilde.astype(float).copy()
-    remaining = total
-    for j in order:
-        if remaining <= 0 or gain[j] <= 0:
-            break
-        move = min(cap[j], remaining)
-        if move <= 0:
-            continue
-        W[j] += move if score[j] > 0 else -move
-        remaining -= move
-    return W

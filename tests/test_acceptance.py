@@ -22,6 +22,7 @@ from crpolicy import (
     control_baseline,
     gamma_path_fit,
     oracle_box,
+    oracle_budgeted,
     policy_gradient,
     policy_probability,
     simulate_binary,
@@ -68,7 +69,7 @@ def test_criterion_01_solver_exactness():
 
 def test_criterion_02_budgeted_consistency():
     rng = np.random.default_rng(7)
-    max_nominal_err = max_cap_err = max_route_gap = 0.0
+    max_nominal_err = max_cap_err = max_oracle_gap = 0.0
     for _ in range(2_000):
         k = int(rng.integers(1, 11))
         gamma = float(rng.uniform(1.0, 3.0))
@@ -82,15 +83,15 @@ def test_criterion_02_budgeted_consistency():
         box_val = solve_box(r, a, b).value
         max_cap_err = max(max_cap_err, abs(solve_budgeted(r, a, b, w, cap).value - box_val))
         lam = float(rng.uniform(0.0, 1.2)) * cap
-        v_simplex = solve_budgeted(r, a, b, w, lam, route="simplex").value
-        v_eta = solve_budgeted(r, a, b, w, lam, route="eta").value
-        max_route_gap = max(max_route_gap, abs(v_simplex - v_eta))
-    ok = max_nominal_err <= 1e-9 and max_cap_err <= 1e-7 and max_route_gap <= 1e-7
+        v_solver = solve_budgeted(r, a, b, w, lam).value
+        v_oracle = oracle_budgeted(r, a, b, w, lam).value
+        max_oracle_gap = max(max_oracle_gap, abs(v_solver - v_oracle))
+    ok = max_nominal_err <= 1e-9 and max_cap_err <= 1e-7 and max_oracle_gap <= 1e-7
     _line(
         2,
         ok,
         f"budgeted: nominal err {max_nominal_err:.2e}, cap-vs-box err {max_cap_err:.2e}, "
-        f"route gap {max_route_gap:.2e} over 2,000 instances",
+        f"LP-oracle gap {max_oracle_gap:.2e} over 2,000 instances",
     )
 
 

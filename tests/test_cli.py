@@ -245,3 +245,54 @@ class TestConfigAndErrors:
         rc = main(["audit", "--input", str(tmp_path / "none.csv"), "--covariates", "x0",
                    "--treatment-col", "t", "--outcome-col", "y", "--output-dir", str(tmp_path)])
         assert rc == 2
+
+
+class TestTreeOptionsRejected:
+    """simulate and calibrate fit logistic policies only, so tree options are errors."""
+
+    SIMULATE = ["simulate", "--reps", "1", "--n", "60", "--iters", "5", "--restarts", "1"]
+
+    def _calibrate(self, sim_csv):
+        return ["calibrate", *_data_args(sim_csv), "--gamma", "1.0,1.2", "--iters", "5", "--restarts", "1"]
+
+    @pytest.mark.parametrize(
+        "command, flags, name",
+        [
+            ("simulate", ["--policy", "tree"], "--policy"),
+            ("simulate", ["--depth", "2"], "--depth"),
+            ("calibrate", ["--policy", "tree"], "--policy"),
+            ("calibrate", ["--min-leaf", "5"], "--min-leaf"),
+        ],
+    )
+    def test_flag(self, command, flags, name, sim_csv, tmp_path, capsys):
+        argv = self.SIMULATE if command == "simulate" else self._calibrate(sim_csv)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *flags, "--output-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, entry, name",
+        [
+            ("simulate", {"policy": "tree"}, "--policy"),
+            ("simulate", {"min_leaf": 5}, "--min-leaf"),
+            ("calibrate", {"depth": 3}, "--depth"),
+            ("calibrate", {"policy": "tree", "depth": 1}, "--policy"),
+        ],
+    )
+    def test_config(self, command, entry, name, sim_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        argv = self.SIMULATE if command == "simulate" else self._calibrate(sim_csv)
+        rc = main([*argv, "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_logistic_policy_still_accepted(self, sim_csv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"policy": "logistic"}))
+        rc = main([*self._calibrate(sim_csv), "--policy", "logistic", "--config", str(cfg),
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 0

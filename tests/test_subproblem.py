@@ -1,8 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crpolicy import oracle_box, solve_box, solve_budgeted, weight_bounds
+from crpolicy import oracle_box, oracle_budgeted, solve_box, solve_budgeted, weight_bounds
 from crpolicy.subproblem import threshold_values
 
 
@@ -188,18 +190,21 @@ class TestSolveBudgeted:
         for _ in range(50):
             r, a, b, w = _random_instance(rng, k=int(rng.integers(1, 9)), gamma=1.8)
             cap = np.maximum(w - a, b - w).mean()
-            for route in ("simplex", "eta"):
-                sol = solve_budgeted(r, a, b, w, cap, route=route)
+            for solver in (solve_budgeted, oracle_budgeted):
+                sol = solver(r, a, b, w, cap)
                 assert sol.value == pytest.approx(solve_box(r, a, b).value, abs=1e-7)
 
     def test_hand_example(self):
         # Budget 0.25 per unit caps total deviation at 0.75; optimum spends
         # 0.25 raising the best unit and 0.5 lowering the worst.
-        for route in ("simplex", "eta"):
-            sol = solve_budgeted([3, -1, 2], [1, 1, 1], [2, 2, 2], [1.5, 1.5, 1.5], 0.25, route=route)
+        for solver in (solve_budgeted, oracle_budgeted):
+            sol = solver([3, -1, 2], [1, 1, 1], [2, 2, 2], [1.5, 1.5, 1.5], 0.25)
             assert sol.value == pytest.approx(29.0 / 17.0, abs=1e-9)
             assert np.allclose(sol.weights, [1.75, 1.0, 1.5], atol=1e-7)
             assert sol.multiplier is not None and sol.multiplier >= 0.0
+        # The budget runs out part-way up unit 0, whose gain is 3 - 29/17.
+        sol = solve_budgeted([3, -1, 2], [1, 1, 1], [2, 2, 2], [1.5, 1.5, 1.5], 0.25)
+        assert sol.multiplier == pytest.approx(22.0 / 17.0, abs=1e-12)
 
     def test_routes_agree(self):
         rng = np.random.default_rng(11)
@@ -208,8 +213,8 @@ class TestSolveBudgeted:
             r, a, b, w = _random_instance(rng, k=k, gamma=float(rng.uniform(1.0, 3.0)))
             cap = np.maximum(w - a, b - w).mean()
             lam = float(rng.uniform(0.0, 1.2)) * cap
-            s1 = solve_budgeted(r, a, b, w, lam, route="simplex")
-            s2 = solve_budgeted(r, a, b, w, lam, route="eta")
+            s1 = solve_budgeted(r, a, b, w, lam)
+            s2 = oracle_budgeted(r, a, b, w, lam)
             assert s1.value == pytest.approx(s2.value, abs=1e-7)
             for sol in (s1, s2):
                 assert np.all(sol.weights >= a - 1e-9) and np.all(sol.weights <= b + 1e-9)
@@ -248,5 +253,41 @@ class TestSolveBudgeted:
             solve_budgeted([1.0], [1.0], [2.0], [1.5], -0.1)
         with pytest.raises(ValueError):
             solve_budgeted([1.0], [1.0], [2.0], [5.0], 0.1)  # nominal outside box
-        with pytest.raises(ValueError):
-            solve_budgeted([1.0], [1.0], [2.0], [1.5], 0.1, route="nope")
+        with pytest.raises(ValueError, match="finite"):
+            solve_budgeted([1.0, 2.0], [1.0, 1.0], [2.0, 2.0], [np.nan, 1.5], 0.1)
+        with pytest.raises(ValueError, match="too large"):
+            oracle_budgeted(np.zeros(201), np.ones(201), np.ones(201), np.ones(201), 0.1)
+
+    @pytest.mark.parametrize("k", [10**3, 10**4, 10**5])
+    def test_large_k_optimality(self, k):
+        # Dinkelbach optimality at lambda* = r'W / sum W: W is feasible and no
+        # feasible W' has a larger sum((r - lambda*) W'). The best such W' is a
+        # fractional knapsack, computed here independently of the solver.
+        rng = np.random.default_rng(k)
+        gamma = float(rng.uniform(1.2, 4.0))
+        r, a, b, w = _random_instance(rng, k=k, gamma=gamma)
+        lam = float(rng.uniform(0.05, 0.9)) * np.maximum(w - a, b - w).mean()
+        t0 = time.perf_counter()
+        sol = solve_budgeted(r, a, b, w, lam)
+        elapsed = time.perf_counter() - t0
+        W = sol.weights
+        assert sol.multiplier > 0.0  # the budget binds, so this is not the box shortcut
+        assert np.all(W >= a - 1e-9) and np.all(W <= b + 1e-9)
+        assert np.abs(W - w).sum() <= lam * k * (1 + 1e-12) + 1e-9
+        lam_star = float(np.dot(r, W) / W.sum())
+        assert sol.value == pytest.approx(lam_star, abs=1e-12)
+        score = r - lam_star
+        gain = np.abs(score)
+        cap = np.where(score > 0, b - w, w - a)
+        budget = lam * k
+        best = float(np.dot(score, w))
+        for j in np.argsort(-gain):
+            move = min(cap[j], budget)
+            best += gain[j] * move
+            budget -= move
+            if budget <= 0:
+                break
+        scale = float(np.abs(r) @ b)
+        assert best <= float(np.dot(score, W)) + 1e-9 * scale
+        if k == 10**5:
+            assert elapsed < 2.0, f"solve_budgeted took {elapsed:.2f}s at k={k}"
