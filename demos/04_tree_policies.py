@@ -3,8 +3,10 @@ Interpretable robust policies: greedy recursive partitioning
 ============================================================
 
 Axis-aligned decision trees make the learned rule auditable: each split
-is chosen by re-evaluating the whole tree's worst-case regret for every
-candidate (feature, threshold, side, arm). Here the truth is a single
+is the candidate (feature, threshold, side, arm) that most lowers the whole
+tree's worst-case regret. One batched sweep per feature screens every
+candidate, and the exact objective confirms the best few, so the choice is
+the one an exhaustive re-solve would make. Here the truth is a single
 threshold on the first covariate, and the greedy tree finds it.
 """
 

@@ -190,19 +190,40 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # Commands that always fit logistic policies; their parsers have no tree options.
 _LOGISTIC_ONLY = ("simulate", "calibrate")
+_FITTING = ("fit",) + _LOGISTIC_ONLY
+# Options that only one policy class reads; fitting the other one refuses them.
+_POLICY_OPTIONS = {
+    "logistic": ("restarts", "iters", "eta0", "kappa", "init_scale"),
+    "tree": ("depth", "min_leaf"),
+}
 
 
-def _reject_tree_options(command: str, cfg_path: str, cfg: dict) -> None:
-    for key, val in cfg.items():
-        name = key.replace("_", "-")
-        if name in ("depth", "min-leaf") or (name == "policy" and val != "logistic"):
-            raise CRPolicyError(
-                f"{cfg_path}: {command} fits logistic policies only and does not take --{name}"
-            )
+def _reject_ignored_options(command: str, policy: str, given: dict) -> None:
+    """Refuse options the policy being fitted would ignore.
+
+    `given` maps each option set by a flag or in the config file to where
+    it was set.
+    """
+    if command in _LOGISTIC_ONLY and policy != "logistic":
+        raise CRPolicyError(
+            f"{given['policy']}: {command} fits logistic policies only and does not take --policy"
+        )
+    if policy not in _POLICY_OPTIONS:
+        raise CRPolicyError(f"{given['policy']}: unknown --policy {policy!r}")
+    for other, keys in _POLICY_OPTIONS.items():
+        if other == policy:
+            continue
+        for key in keys:
+            if key in given:
+                name = key.replace("_", "-")
+                raise CRPolicyError(
+                    f"{given[key]}: {command} with the {policy} policy does not take --{name}"
+                )
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
     merged = dict(_DEFAULTS)
+    given = {}
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         with open(cfg_path, "r", encoding="utf-8") as fh:
@@ -211,11 +232,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise CRPolicyError(f"{cfg_path}: config must be a JSON object")
         for key, val in cfg.items():
             merged[key.replace("-", "_")] = val
-        if args.command in _LOGISTIC_ONLY:
-            _reject_tree_options(args.command, cfg_path, cfg)
+            given[key.replace("-", "_")] = cfg_path
     for key, val in vars(args).items():
         if val is not None:
             merged[key] = val
+            given[key] = "command line"
+    if args.command in _FITTING:
+        _reject_ignored_options(args.command, merged["policy"], given)
     return merged
 
 

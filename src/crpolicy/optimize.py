@@ -5,8 +5,11 @@ restarts over logistic policies: each iteration solves the worst-case
 weight subproblem exactly, then steps against the resulting subgradient of
 the worst-case regret. `gamma_path_fit` chains fits over an ascending
 sensitivity grid with warm starts and cross-gamma objective checks.
-`tree_partition_fit` greedily grows an axis-aligned decision tree by
-re-evaluating the full-tree robust objective for every candidate split.
+`tree_partition_fit` greedily grows an axis-aligned decision tree, taking
+at each leaf the split that most lowers the robust objective of the whole
+tree: one batched sweep per (feature, side, arm) screens every candidate
+split of the leaf, and the exact objective confirms the few screened within
+roundoff of the best, so the choice is the one an exact scan makes.
 """
 
 from __future__ import annotations
@@ -313,12 +316,83 @@ def gamma_path_fit(
     return results
 
 
+# Entries of one block of a screening sweep. Sweep rows are taken in blocks
+# of about this many (row, item) entries, so memory stays flat in n.
+_SWEEP_BLOCK = 1 << 14
+
+
+class _ArmSweep:
+    """One arm's box value at every step of a sweep across a node.
+
+    A split candidate moves one side of a node from its arm to another,
+    which changes the contrast r_i = (1[A_i = T_i] - pi0(T_i | X_i)) Y_i of
+    exactly the node's units in the arms left and entered. Within one arm,
+    the candidates of one (feature, side) are the steps s = 0..L of a sweep
+    that flips the arm's L node units from their current contrast to their
+    alternative one in feature order. The arm's k current contrasts and the
+    L alternatives are merged and sorted once per node. At step s an item is
+    active when it is the current contrast of a unit not yet flipped or the
+    alternative of one that is, and the box value is the largest threshold
+    ratio over the active items: (sum b r + prefix sum of (a - b) r) over
+    (sum b + prefix sum of (a - b)), inactive items adding nothing.
+    """
+
+    def __init__(self, r, a, b, pos, r_alt):
+        merged = np.concatenate([r, r_alt])
+        self.order = np.argsort(merged, kind="stable")
+        span = np.concatenate([a - b, a[pos] - b[pos]])[self.order]
+        self.span_c = span * merged[self.order] + 1j * span
+        self.is_alt = self.order >= r.size
+        self.k, self.pos = r.size, pos
+        self.sum_b = float(b.sum())
+        self.sum_br = float(b @ r)
+        self.flip_br = b[pos] * (r_alt - r[pos])
+
+    def values(self, rank: np.ndarray) -> np.ndarray:
+        """V[s], s = 0..L: the box value once the node units of rank < s
+        (rank[i] for the i-th entry of pos) have flipped."""
+        L = rank.size
+        # Step from which each item's unit counts as flipped: its current item
+        # is active at s <= flip_at, its alternative at s > flip_at. Units
+        # outside the node never flip.
+        flip_at = np.full(self.k, L)
+        flip_at[self.pos] = rank
+        flip_at = np.concatenate([flip_at, rank])[self.order]
+        flip_br = np.zeros(L)
+        flip_br[rank] = self.flip_br
+        sum_br = self.sum_br + np.concatenate([[0.0], np.cumsum(flip_br)])
+        out = np.empty(L + 1)
+        rows = max(1, _SWEEP_BLOCK // flip_at.size)
+        block = np.empty((rows, flip_at.size), dtype=complex)
+        for s0 in range(0, L + 1, rows):
+            s = np.arange(s0, min(s0 + rows, L + 1))
+            active = (s[:, None] <= flip_at) != self.is_alt
+            # Numerator and denominator ride as the real and imaginary parts
+            # of one array, so one prefix-sum pass makes both; the first
+            # column carries the all-at-b totals the prefix sums start from.
+            frac = block[: s.size]
+            np.multiply(active, self.span_c, out=frac)
+            frac[:, 0] += sum_br[s] + 1j * self.sum_b
+            np.cumsum(frac, axis=1, out=frac)
+            out[s] = (frac.real / frac.imag).max(axis=1)
+        return out
+
+
 class _TreeBuilder:
     """Greedy recursive partitioning against the whole-tree robust objective.
 
     Candidate splits reassign one side of a leaf to a new arm while every
     other leaf keeps its current assignment; the winning (feature,
-    threshold, sense, arm) is the one minimizing the full worst-case regret.
+    threshold, sense, arm) is the one minimizing the full worst-case regret,
+    the first in scan order (feature, cut, left then right, arm) on ties.
+
+    `best_split` screens every candidate of a node at once with one
+    `_ArmSweep` per arm, then re-scores with the exact `objective_for` only
+    the candidates whose screened value lies within `tol` of the smallest.
+    The screen sums in another order than `solve_box`, so it may differ from
+    the exact objective in the last digits, far inside `tol`; every other
+    candidate is exactly worse, and the choice is the one an exact scan of
+    all candidates makes.
     """
 
     def __init__(self, data: Dataset, spec: UncertaintySpec, pi0: Policy, min_leaf: int):
@@ -334,11 +408,22 @@ class _TreeBuilder:
         self.arms = data.arms()
         self.arms.require_nonempty("tree_partition_fit")
         self.p0_obs = pi0.observed_prob(data.X, data.T)
+        # arm_pos[i] = position of unit i within its arm's index set
+        self.arm_pos = np.empty(data.n, dtype=np.int64)
+        for t in range(data.m):
+            self.arm_pos[self.arms[t]] = np.arange(self.arms[t].size)
+        # Width of the band of screened values re-scored exactly. The screen
+        # is off by roundoff only, orders of magnitude inside it; contrasts
+        # scale with Y.
+        self.tol = 1e-9 * max(1.0, float(np.abs(data.Y).max()))
         # assignment[i] = arm currently prescribed to unit i by the tree
         self.assignment = np.zeros(data.n, dtype=np.int64)
 
+    def contrast(self, assignment: np.ndarray) -> np.ndarray:
+        return ((assignment == self.data.T).astype(float) - self.p0_obs) * self.data.Y
+
     def objective_for(self, assignment: np.ndarray) -> float:
-        r = ((assignment == self.data.T).astype(float) - self.p0_obs) * self.data.Y
+        r = self.contrast(assignment)
         total = 0.0
         for t in range(self.data.m):
             idx = self.arms[t]
@@ -362,29 +447,75 @@ class _TreeBuilder:
         """
         data = self.data
         base_arm = int(self.assignment[node_idx[0]])
-        best = None
+        others = [t for t in range(data.m) if t != base_arm]
+        r = self.contrast(self.assignment)
+        in_arm = [data.T[node_idx] == t for t in range(data.m)]
+        sweeps = []
+        for t in range(data.m):
+            members = node_idx[in_arm[t]]
+            # A flipped unit leaves base_arm, so it matches T in arm t iff t != base_arm.
+            r_alt = (float(t != base_arm) - self.p0_obs[members]) * data.Y[members]
+            _, a, b = self.spec.restrict(self.arms[t])
+            sweeps.append(_ArmSweep(r[self.arms[t]], a, b, self.arm_pos[members], r_alt))
+
+        blocks = []
         for j in range(data.d):
             xj = data.X[node_idx, j]
             order = np.argsort(xj, kind="stable")
             xs = xj[order]
-            distinct = np.flatnonzero(np.diff(xs) > 0)
-            for cut in distinct:
-                thr = 0.5 * (xs[cut] + xs[cut + 1])
-                left = node_idx[xj <= thr]
-                right = node_idx[xj > thr]
-                if left.size < self.min_leaf or right.size < self.min_leaf:
-                    continue
-                for side_idx in (left, right):
-                    for arm in range(data.m):
-                        if arm == base_arm:
-                            continue
-                        cand = self.assignment.copy()
-                        cand[side_idx] = arm
-                        obj = self.objective_for(cand)
-                        if obj < current_obj and (best is None or obj < best[0]):
-                            left_arm = arm if side_idx is left else base_arm
-                            right_arm = arm if side_idx is right else base_arm
-                            best = (obj, j, float(thr), left_arm, right_arm)
+            cut = np.flatnonzero(np.diff(xs) > 0)
+            thr = 0.5 * (xs[cut] + xs[cut + 1])
+            # Side sizes as `xj <= thr` counts them: the midpoint of two
+            # adjacent floats can round onto the larger one.
+            n_left = np.searchsorted(xs, thr, side="right")
+            keep = (n_left >= self.min_leaf) & (node_idx.size - n_left >= self.min_leaf)
+            if not keep.any():
+                continue
+            thr, n_left = thr[keep], n_left[keep]
+            # arm_values[t, c, side] = arm t's value with that side of cut c flipped
+            arm_values = np.empty((data.m, thr.size, 2))
+            current = np.empty(data.m)
+            for t, sweep in enumerate(sweeps):
+                member = in_arm[t][order]
+                L = int(member.sum())
+                rank = np.empty(node_idx.size, dtype=np.int64)
+                rank[order[member]] = np.arange(L)
+                rank = rank[in_arm[t]]
+                flipped = np.concatenate([[0], np.cumsum(member)])[n_left]
+                left = sweep.values(rank)
+                current[t] = left[0]
+                arm_values[t, :, 0] = left[flipped]
+                arm_values[t, :, 1] = sweep.values(L - 1 - rank)[L - flipped]
+            screened = np.empty((thr.size, 2, len(others)))
+            for k, arm in enumerate(others):
+                fixed = sum(current[t] for t in others if t != arm)
+                screened[:, :, k] = fixed + arm_values[base_arm] + arm_values[arm]
+                # A flip changes r only where Y != 0. A side that moves no
+                # such unit, or the same ones as the previous cut, leaves r as
+                # the current tree or an earlier candidate has it, so it
+                # cannot strictly improve: it is not re-scored.
+                changes = (in_arm[base_arm] | in_arm[arm])[order] & (data.Y[node_idx[order]] != 0)
+                moved = np.concatenate([[0], np.cumsum(changes)])
+                left_moved = moved[n_left]
+                for side, count in enumerate((left_moved, moved[-1] - left_moved)):
+                    screened[(count == 0) | (np.diff(count, prepend=-1) == 0), side, k] = np.inf
+            blocks.append((j, thr, screened))
+        if not blocks:
+            return None
+
+        limit = min(min(s.min() for _, _, s in blocks), current_obj) + self.tol
+        best = None
+        for j, thr, screened in blocks:
+            xj = data.X[node_idx, j]
+            for c, side, k in zip(*np.nonzero(screened <= limit)):
+                on_left = xj <= thr[c]
+                cand = self.assignment.copy()
+                cand[node_idx[on_left if side == 0 else ~on_left]] = others[k]
+                obj = self.objective_for(cand)
+                if obj < current_obj and (best is None or obj < best[0]):
+                    left_arm = others[k] if side == 0 else base_arm
+                    right_arm = others[k] if side == 1 else base_arm
+                    best = (obj, j, float(thr[c]), left_arm, right_arm)
         return best
 
     def grow(self, node_idx: np.ndarray, depth_left: int, current_obj: float):

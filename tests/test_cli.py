@@ -296,3 +296,60 @@ class TestTreeOptionsRejected:
         rc = main([*self._calibrate(sim_csv), "--policy", "logistic", "--config", str(cfg),
                    "--output-dir", str(tmp_path / "out")])
         assert rc == 0
+
+
+class TestFitPolicyOptions:
+    """fit refuses the options of the policy class it is not fitting."""
+
+    def _fit(self, sim_csv, tmp_path, *extra):
+        return ["fit", *_data_args(sim_csv), "--gamma", "1.2", *extra,
+                "--output-dir", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--policy", "tree", "--iters", "7"], "--iters"),
+            (["--policy", "tree", "--restarts", "9"], "--restarts"),
+            (["--policy", "tree", "--eta0", "3"], "--eta0"),
+            (["--policy", "tree", "--kappa", "0.7"], "--kappa"),
+            (["--policy", "tree", "--init-scale", "2"], "--init-scale"),
+            (["--depth", "3"], "--depth"),
+            (["--policy", "logistic", "--min-leaf", "4"], "--min-leaf"),
+        ],
+    )
+    def test_flag(self, flags, name, sim_csv, tmp_path, capsys):
+        rc = main(self._fit(sim_csv, tmp_path, *flags))
+        assert rc == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "entry, flags, name",
+        [
+            ({"policy": "tree", "iters": 7}, [], "--iters"),
+            ({"restarts": 9}, ["--policy", "tree"], "--restarts"),
+            ({"init-scale": 2.0}, ["--policy", "tree"], "--init-scale"),
+            ({"depth": 3, "min_leaf": 4}, [], "--depth"),
+            ({"policy": "tree", "min_leaf": 4}, ["--policy", "logistic"], "--min-leaf"),
+            ({"policy": "forest"}, [], "--policy"),
+        ],
+    )
+    def test_config(self, entry, flags, name, sim_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        rc = main(self._fit(sim_csv, tmp_path, *flags, "--config", str(cfg)))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert name in err and str(cfg) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_each_policy_keeps_its_own_options(self, sim_csv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"policy": "tree", "depth": 1, "min_leaf": 10}))
+        assert main(self._fit(sim_csv, tmp_path, "--config", str(cfg))) == 0
+        doc = json.loads((tmp_path / "out" / "fit.json").read_text())
+        assert doc["options"] is None
+        assert main(self._fit(sim_csv, tmp_path, "--iters", "7", "--restarts", "1",
+                              "--eta0", "0.5", "--kappa", "0.6", "--init-scale", "2")) == 0
+        doc = json.loads((tmp_path / "out" / "fit.json").read_text())
+        assert doc["options"]["iters"] == 7 and doc["options"]["init_scale"] == 2.0

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,11 @@ from crpolicy import (
     gamma_path_fit,
     subgradient_fit,
     tree_partition_fit,
+    uniform_baseline,
     worst_case_regret,
 )
 from crpolicy.exceptions import EmptyArmError
+from crpolicy.optimize import _TreeBuilder
 
 
 def balanced_dataset(seed, n=60, d=2, m=2, y=None):
@@ -303,3 +307,140 @@ class TestTreeFit:
         from crpolicy import policy_to_json
 
         assert policy_to_json(f1.policy) == policy_to_json(f2.policy)
+
+
+def reference_best_split(self, node_idx, current_obj):
+    """The exhaustive split scan: re-solve the whole tree for every
+    (feature, cut, side, arm), keeping the first strict improvement."""
+    data = self.data
+    base_arm = int(self.assignment[node_idx[0]])
+    best = None
+    for j in range(data.d):
+        xj = data.X[node_idx, j]
+        order = np.argsort(xj, kind="stable")
+        xs = xj[order]
+        distinct = np.flatnonzero(np.diff(xs) > 0)
+        for cut in distinct:
+            thr = 0.5 * (xs[cut] + xs[cut + 1])
+            left = node_idx[xj <= thr]
+            right = node_idx[xj > thr]
+            if left.size < self.min_leaf or right.size < self.min_leaf:
+                continue
+            for side_idx in (left, right):
+                for arm in range(data.m):
+                    if arm == base_arm:
+                        continue
+                    cand = self.assignment.copy()
+                    cand[side_idx] = arm
+                    obj = self.objective_for(cand)
+                    if obj < current_obj and (best is None or obj < best[0]):
+                        left_arm = arm if side_idx is left else base_arm
+                        right_arm = arm if side_idx is right else base_arm
+                        best = (obj, j, float(thr), left_arm, right_arm)
+    return best
+
+
+def fit_pair(monkeypatch, data, spec, pi0, depth, min_leaf):
+    """(screened fit, reference fit) as FitResult JSON, without fallback."""
+    def fit():
+        return tree_partition_fit(
+            data, spec, pi0, depth=depth, min_leaf=min_leaf, fallback_to_baseline=False
+        ).to_json()
+
+    screened = fit()
+    with monkeypatch.context() as mp:
+        mp.setattr(_TreeBuilder, "best_split", reference_best_split)
+        reference = fit()
+    return screened, reference
+
+
+def random_tree_case(i):
+    rng = np.random.default_rng(10_000 + i)
+    n, m, d = int(rng.integers(20, 161)), int(rng.choice([2, 3])), int(rng.integers(1, 4))
+    X = rng.standard_normal((n, d))
+    if i % 3 == 0:
+        X = np.round(X, 1)  # tied x values
+    T = rng.permutation(np.arange(n) % m)
+    Y = rng.standard_normal(n) + np.where(T == 1, X[:, 0], 0.0)
+    if i % 5 == 0:
+        Y = np.round(Y)  # zero and equal contrasts
+    e_hat = rng.uniform(0.2, 0.9, n) if m == 2 else rng.uniform(0.1, 0.6, n)
+    data = Dataset(X=X, T=T, Y=Y, m=m, e_hat=e_hat)
+    spec = UncertaintySpec.from_dataset(data, float(rng.choice([1.0, 1.3, 2.0])))
+    pi0 = control_baseline(m) if i % 2 else uniform_baseline(m)
+    return data, spec, pi0, int(rng.integers(1, 4)), int(rng.integers(1, 8))
+
+
+class TestScreenedSplitSearch:
+    """The screened search picks the split the exhaustive scan picks."""
+
+    def test_matches_reference_on_random_data(self, monkeypatch):
+        differ = []
+        for i in range(150):
+            data, spec, pi0, depth, min_leaf = random_tree_case(i)
+            screened, reference = fit_pair(monkeypatch, data, spec, pi0, depth, min_leaf)
+            if screened != reference:
+                differ.append(i)
+        assert differ == []
+
+    def test_adjacent_float_thresholds(self, monkeypatch):
+        # Between 1 + 2**-52 (odd last bit) and the next float up, the
+        # midpoint rounds up onto the larger value, so `xj <= thr` puts both
+        # on the left: a side's size is not the cut's position plus one.
+        x0 = 1.0 + 2.0**-52
+        x1 = np.nextafter(x0, 2.0)
+        assert 0.5 * (x0 + x1) == x1
+        values = [x0]
+        for _ in range(4):
+            values.append(np.nextafter(values[-1], 2.0))
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n, m = int(rng.integers(20, 80)), int(rng.choice([2, 3]))
+            X = rng.choice(values, size=(n, 2))
+            T = rng.permutation(np.arange(n) % m)
+            data = Dataset(X=X, T=T, Y=rng.standard_normal(n), m=m,
+                           e_hat=rng.uniform(0.2, 0.5, n))
+            spec = UncertaintySpec.from_dataset(data, 1.3)
+            screened, reference = fit_pair(
+                monkeypatch, data, spec, control_baseline(m), 2, int(rng.integers(1, 8))
+            )
+            assert screened == reference, seed
+
+    def test_adjacent_float_min_leaf(self, monkeypatch):
+        # 3 units at x0, 10 at x1, 10 at 2.0; arm 1 helps the first 13 and
+        # arm 0 the last 10. The cut after x0 has thr == x1, so its sides hold
+        # 13 and 10 units, not 3 and 20: with min_leaf = 5 it is valid and,
+        # first in scan order, beats the same partition at thr = 1.5; with
+        # min_leaf = 11 its 10-unit side rules it out.
+        x0 = 1.0 + 2.0**-52
+        x1 = np.nextafter(x0, 2.0)
+        X = np.array([x0] * 3 + [x1] * 10 + [2.0] * 10)[:, None]
+        T = np.arange(23) % 2
+        Y = np.where(X[:, 0] < 2.0, 1.0, -1.0) * np.where(T == 1, -1.0, 1.0)
+        data = Dataset(X=X, T=T, Y=Y, m=2, e_hat=np.full(23, 0.5))
+        spec = UncertaintySpec.from_dataset(data, 1.0)
+        screened, reference = fit_pair(monkeypatch, data, spec, PI0, 1, 5)
+        assert screened == reference
+        node = FitResult.from_json(screened).policy.root
+        assert isinstance(node, TreeNode) and node.threshold == x1
+        assert int((X[:, 0] <= node.threshold).sum()) == 13
+        screened, reference = fit_pair(monkeypatch, data, spec, PI0, 1, 11)
+        assert screened == reference
+        assert FitResult.from_json(screened).policy.depth() == 0
+
+    def test_depth_two_at_n1600_in_seconds(self):
+        # The exhaustive scan re-solves the tree once per candidate and takes
+        # about 8-11 s on a 2-core Xeon; the screen, one batched sweep per
+        # (feature, side, arm), well under a second.
+        rng = np.random.default_rng(1600)
+        n = 1600
+        X = rng.standard_normal((n, 5))
+        T = rng.permutation(np.arange(n) % 2)
+        Y = X[:, 0] + np.where(T == 1, X[:, 1] - X[:, 2], 0.0) + rng.standard_normal(n)
+        data = Dataset(X=X, T=T, Y=Y, m=2, e_hat=rng.uniform(0.3, 0.7, n))
+        spec = UncertaintySpec.from_dataset(data, 1.5)
+        t0 = time.perf_counter()
+        fit = tree_partition_fit(data, spec, PI0, depth=2, min_leaf=20, fallback_to_baseline=False)
+        elapsed = time.perf_counter() - t0
+        assert fit.policy.depth() == 2
+        assert elapsed < 4.0
