@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
@@ -72,7 +72,6 @@ _DEFAULTS = {
     "preset": "binary-sec7",
     "n": 200,
     "test_n": 5000,
-    "workers": 1,
     "clip_eps": 1e-3,
     "propensity_col": None,
     "ht_probs": None,
@@ -112,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--clip-eps", dest="clip_eps", type=float, help="propensity clipping (default 1e-3)")
         p.add_argument("--output-dir", dest="output_dir", help="directory for emitted files (default .)")
         p.add_argument("--config", help="JSON config file; explicit flags win")
-        p.add_argument("--seed", type=int, help="random seed")
 
     def add_gamma(p):
         p.add_argument(
@@ -142,6 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eta0", type=float, help="initial step size")
         p.add_argument("--kappa", type=float, help="step schedule exponent in (0,1]")
         p.add_argument("--init-scale", dest="init_scale", type=float, help="restart init std-dev")
+        p.add_argument("--seed", type=int, help="random seed")
         p.add_argument(
             "--no-fallback",
             dest="no_fallback",
@@ -176,7 +175,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=int, help="number of replications")
     p_sim.add_argument("--n", type=int, help="training sample size per replication")
     p_sim.add_argument("--test-n", dest="test_n", type=int, help="out-of-sample evaluation draw size")
-    p_sim.add_argument("--workers", type=int, help="parallel replication workers")
 
     p_cal = sub.add_parser("calibrate", help="cross-gamma calibration matrix")
     add_io(p_cal)
@@ -193,7 +191,7 @@ _LOGISTIC_ONLY = ("simulate", "calibrate")
 _FITTING = ("fit",) + _LOGISTIC_ONLY
 # Options that only one policy class reads; fitting the other one refuses them.
 _POLICY_OPTIONS = {
-    "logistic": ("restarts", "iters", "eta0", "kappa", "init_scale"),
+    "logistic": ("restarts", "iters", "eta0", "kappa", "init_scale", "seed"),
     "tree": ("depth", "min_leaf"),
 }
 
@@ -239,6 +237,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
             given[key] = "command line"
     if args.command in _FITTING:
         _reject_ignored_options(args.command, merged["policy"], given)
+    # A config key that no option of this command reads would be ignored.
+    options = set(vars(args)) - {"command", "config"}
+    for key, where in given.items():
+        if where == cfg_path and key not in options:
+            name = key.replace("_", "-")
+            raise CRPolicyError(f"{cfg_path}: unknown key {key!r}: {args.command} has no --{name}")
     return merged
 
 
@@ -246,6 +250,8 @@ def _gammas(cfg: dict) -> List[float]:
     gammas = [float(g) for g in cfg["gamma"]]
     if cfg.get("log_gamma"):
         gammas = [float(np.exp(g)) for g in gammas]
+    if not gammas:
+        raise CRPolicyError("--gamma needs at least one value")
     if any(g < 1.0 for g in gammas):
         raise CRPolicyError("every gamma must be >= 1 (after exp when --log-gamma)")
     if sorted(gammas) != gammas:
@@ -322,9 +328,6 @@ def _cmd_fit(cfg: dict) -> int:
                     fallback_to_baseline=not cfg["no_fallback"],
                 )
             )
-    elif len(gammas) == 1:
-        spec = UncertaintySpec.from_dataset(data, gammas[0], rho=rho)
-        fits = [subgradient_fit(data, spec, pi0, opts)]
     else:
         fits = gamma_path_fit(data, gammas, pi0, opts, rho=rho)
 
@@ -404,8 +407,7 @@ def _simulate_one(cfg: dict, gammas: List[float], rep: int):
     records = []
     # Naive comparator: gamma = 1 fit without fallback (assumes no confounding).
     spec1 = UncertaintySpec.from_dataset(data, 1.0)
-    naive_opts = FitOptions(**{**_opts_dict(opts), "fallback_to_baseline": False})
-    naive = subgradient_fit(data, spec1, pi0, naive_opts)
+    naive = subgradient_fit(data, spec1, pi0, replace(opts, fallback_to_baseline=False))
     for gamma in gammas:
         records.append(
             {
@@ -415,10 +417,7 @@ def _simulate_one(cfg: dict, gammas: List[float], rep: int):
                 "true_regret": true_regret(naive.policy, pi0, test),
             }
         )
-    fits = gamma_path_fit(data, gammas, pi0, opts) if len(gammas) > 1 else [
-        subgradient_fit(data, UncertaintySpec.from_dataset(data, gammas[0]), pi0, opts)
-    ]
-    for gamma, fit in zip(gammas, fits):
+    for gamma, fit in zip(gammas, gamma_path_fit(data, gammas, pi0, opts)):
         records.append(
             {
                 "method": "robust-logistic",
@@ -428,10 +427,7 @@ def _simulate_one(cfg: dict, gammas: List[float], rep: int):
             }
         )
     if rho is not None:
-        bfits = gamma_path_fit(data, gammas, pi0, opts, rho=rho) if len(gammas) > 1 else [
-            subgradient_fit(data, UncertaintySpec.from_dataset(data, gammas[0], rho=rho), pi0, opts)
-        ]
-        for gamma, fit in zip(gammas, bfits):
+        for gamma, fit in zip(gammas, gamma_path_fit(data, gammas, pi0, opts, rho=rho)):
             records.append(
                 {
                     "method": f"robust-budgeted-{rho:g}",
@@ -443,27 +439,9 @@ def _simulate_one(cfg: dict, gammas: List[float], rep: int):
     return sim, records
 
 
-def _opts_dict(opts: FitOptions) -> dict:
-    from dataclasses import asdict
-
-    return asdict(opts)
-
-
 def _cmd_simulate(cfg: dict) -> int:
     gammas = _gammas(cfg)
-    reps = int(cfg["reps"])
-    workers = max(1, int(cfg["workers"]))
-    results = [None] * reps
-    if workers == 1:
-        for rep in range(reps):
-            results[rep] = _simulate_one(cfg, gammas, rep)
-    else:
-        # Replications are independent given their derived seeds; files are
-        # written afterwards in replication order so output stays byte-stable.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {rep: pool.submit(_simulate_one, cfg, gammas, rep) for rep in range(reps)}
-            for rep, fut in futures.items():
-                results[rep] = fut.result()
+    results = [_simulate_one(cfg, gammas, rep) for rep in range(int(cfg["reps"]))]
     all_records = []
     for rep, (sim, records) in enumerate(results):
         write_dataset_csv(_out(cfg, f"dataset_rep{rep:03d}.csv"), sim.data, w_star=sim.w_star)
@@ -482,8 +460,6 @@ def _cmd_simulate(cfg: dict) -> int:
 def _cmd_calibrate(cfg: dict) -> int:
     data = _load_with_propensities(cfg)
     gammas = _gammas(cfg)
-    if len(gammas) < 1:
-        raise CRPolicyError("calibrate needs at least one gamma")
     pi0 = _baseline(cfg, data.m)
     matrix = calibration_matrix(data, gammas, pi0, opts=_fit_options(cfg), rho=cfg.get("rho"))
     write_calibration_csv(_out(cfg, "calibration.csv"), matrix)

@@ -9,7 +9,6 @@ import numpy as np
 
 from ..data import Dataset
 from ..policy import Policy
-from .estimators import worst_case_regret
 
 __all__ = ["CalibrationMatrix", "calibration_matrix"]
 
@@ -42,26 +41,12 @@ def calibration_matrix(
     opts=None,
     rho: Optional[float] = None,
 ) -> CalibrationMatrix:
-    """Fit the gamma path, then cross-evaluate every policy at every gamma."""
-    from ..optimize import FitOptions, gamma_path_fit
-    from ..uncertainty import UncertaintySpec, budget_from_fraction
+    """Fit the gamma path; its cross-gamma check already evaluated every policy at every gamma."""
+    from ..optimize import FitOptions, _gamma_path
 
-    opts = opts if opts is not None else FitOptions()
-    fits = gamma_path_fit(data, gammas, pi0, opts, rho=rho)
-    K = len(fits)
-    values = np.empty((K, K))
-    arms = data.arms()
-    for kp, gamma_eval in enumerate(gammas):
-        spec = UncertaintySpec.from_dataset(data, float(gamma_eval))
-        if rho is not None:
-            spec = spec.with_budget(budget_from_fraction(spec, arms, rho))
-        for k, fit in enumerate(fits):
-            if k == kp:
-                values[k, kp] = fit.objective
-            else:
-                values[k, kp] = worst_case_regret(fit.policy, pi0, data, spec, arms=arms)
+    fits, rows = _gamma_path(data, gammas, pi0, opts if opts is not None else FitOptions(), rho)
     return CalibrationMatrix(
         gammas=np.asarray(list(gammas), dtype=float),
-        values=values,
+        values=np.array(rows, dtype=float).reshape(len(fits), len(fits)),
         policies=tuple(fit.policy for fit in fits),
     )

@@ -23,6 +23,7 @@ from ..uncertainty import UncertaintySpec
 
 __all__ = [
     "hajek_regret",
+    "worst_case_solution",
     "worst_case_regret",
     "worst_case_weights",
     "ipw_value",
@@ -54,6 +55,31 @@ def hajek_regret(pol: Policy, pi0: Policy, data: Dataset, W: np.ndarray) -> floa
     return total
 
 
+def worst_case_solution(r: np.ndarray, spec: UncertaintySpec, arms: ArmIndex):
+    """Worst-case weights W and value of the contrasts r over the uncertainty set.
+
+    The one per-arm kernel: each arm's slice of r is solved exactly (box
+    threshold scan or budgeted Dinkelbach) and the arm values are summed in
+    arm order. Returns (W, value).
+    """
+    if r.size != spec.n:
+        raise ValueError("uncertainty spec does not match the dataset")
+    W = np.empty(spec.n)
+    total = 0.0
+    for t in range(arms.m):
+        idx = arms[t]
+        if idx.size == 0:
+            raise EmptyArmError(t, "worst_case_solution")
+        w, a, b = spec.restrict(idx)
+        if spec.budgeted:
+            sol = solve_budgeted(r[idx], a, b, w, float(spec.lam[t]))
+        else:
+            sol = solve_box(r[idx], a, b)
+        W[idx] = sol.weights
+        total += sol.value
+    return W, total
+
+
 def worst_case_regret(
     pol: Policy,
     pi0: Policy,
@@ -62,21 +88,7 @@ def worst_case_regret(
     arms: Optional[ArmIndex] = None,
 ) -> float:
     """Supremum of the Hajek regret over the uncertainty set (sum of arm values)."""
-    if spec.n != data.n:
-        raise ValueError("uncertainty spec does not match the dataset")
-    r = _contrast(pol, pi0, data)
-    arms = arms if arms is not None else data.arms()
-    total = 0.0
-    for t in range(data.m):
-        idx = arms[t]
-        if idx.size == 0:
-            raise EmptyArmError(t, "worst_case_regret")
-        w, a, b = spec.restrict(idx)
-        if spec.budgeted:
-            total += solve_budgeted(r[idx], a, b, w, float(spec.lam[t])).value
-        else:
-            total += solve_box(r[idx], a, b).value
-    return total
+    return worst_case_weights(pol, pi0, data, spec, arms)[1]
 
 
 def worst_case_weights(
@@ -88,21 +100,7 @@ def worst_case_weights(
 ):
     """Attaining weights W and the total worst-case regret, as (W, value)."""
     r = _contrast(pol, pi0, data)
-    arms = arms if arms is not None else data.arms()
-    W = np.empty(data.n)
-    total = 0.0
-    for t in range(data.m):
-        idx = arms[t]
-        if idx.size == 0:
-            raise EmptyArmError(t, "worst_case_weights")
-        w, a, b = spec.restrict(idx)
-        if spec.budgeted:
-            sol = solve_budgeted(r[idx], a, b, w, float(spec.lam[t]))
-        else:
-            sol = solve_box(r[idx], a, b)
-        W[idx] = sol.weights
-        total += sol.value
-    return W, total
+    return worst_case_solution(r, spec, arms if arms is not None else data.arms())
 
 
 def ipw_value(pol: Policy, data: Dataset) -> float:

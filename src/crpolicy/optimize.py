@@ -30,10 +30,12 @@ from .policy import (
     TreePolicy,
     policy_from_json,
     policy_to_json,
+    softmax_score_grad,
 )
-from .subproblem import solve_box, solve_budgeted
-from .uncertainty import UncertaintySpec, budget_from_fraction
-from .evaluation.estimators import worst_case_regret
+# Not called here: perfbench's tracer self-test reads this binding.
+from .subproblem import solve_box  # noqa: F401
+from .uncertainty import UncertaintySpec
+from .evaluation.estimators import worst_case_regret, worst_case_solution
 
 __all__ = ["FitOptions", "FitResult", "subgradient_fit", "gamma_path_fit", "tree_partition_fit"]
 
@@ -120,8 +122,6 @@ class _SubgradientProblem:
     """Precomputed quantities shared by every restart on one dataset/spec."""
 
     def __init__(self, data: Dataset, spec: UncertaintySpec, pi0: Policy):
-        if spec.n != data.n:
-            raise ValueError("uncertainty spec does not match the dataset")
         self.data = data
         self.spec = spec
         self.pi0 = pi0
@@ -131,33 +131,17 @@ class _SubgradientProblem:
         self.Z = np.hstack([np.ones((data.n, 1)), data.X])
         self.shape = (data.m - 1, data.d + 1)
 
-    def worst_weights(self, r: np.ndarray) -> np.ndarray:
-        W = np.empty(self.data.n)
-        for t in range(self.data.m):
-            idx = self.arms[t]
-            w, a, b = self.spec.restrict(idx)
-            if self.spec.budgeted:
-                W[idx] = solve_budgeted(r[idx], a, b, w, float(self.spec.lam[t])).weights
-            else:
-                W[idx] = solve_box(r[idx], a, b).weights
-        return W
-
     def subgradient(self, pol: LogisticPolicy) -> np.ndarray:
         """g = sum_i (W_i / sum_{j in arm} W_j) Y_i grad pi(T_i | X_i) at the pessimal W."""
         data = self.data
         probs = pol.prob_matrix(data.X)
-        p_obs = probs[np.arange(data.n), data.T]
-        r = (p_obs - self.p0_obs) * data.Y
-        W = self.worst_weights(r)
+        r = (probs[np.arange(data.n), data.T] - self.p0_obs) * data.Y
+        W, _ = worst_case_solution(r, self.spec, self.arms)
         norm = np.empty(data.n)
         for t in range(data.m):
             idx = self.arms[t]
             norm[idx] = W[idx].sum()
-        c = (W / norm) * data.Y
-        pT = p_obs
-        delta = (data.T[:, None] == np.arange(1, data.m)[None, :]).astype(float)
-        coef = c[:, None] * pT[:, None] * (delta - probs[:, 1:])
-        g = coef.T @ self.Z
+        g = softmax_score_grad(probs, data.T, (W / norm) * data.Y).T @ self.Z
         if not np.all(np.isfinite(g)):
             raise SolverError("non-finite subgradient")
         return g
@@ -246,13 +230,6 @@ def subgradient_fit(
     )
 
 
-def _spec_for_gamma(data: Dataset, gamma: float, rho: Optional[float]) -> UncertaintySpec:
-    spec = UncertaintySpec.from_dataset(data, gamma)
-    if rho is not None:
-        spec = spec.with_budget(budget_from_fraction(spec, data.arms(), rho))
-    return spec
-
-
 def gamma_path_fit(
     data: Dataset,
     gammas: Sequence[float],
@@ -266,15 +243,23 @@ def gamma_path_fit(
     after the first is warm-started from the previous gamma's solution, and
     every fitted policy is cross-evaluated at every other gamma so each grid
     entry keeps the best policy seen for that gamma. The returned objectives
-    are therefore nondecreasing in gamma.
+    are therefore nondecreasing in gamma. A single gamma is one
+    `subgradient_fit`.
     """
+    return _gamma_path(data, gammas, pi0, opts, rho)[0]
+
+
+def _gamma_path(data, gammas, pi0, opts, rho):
+    """`gamma_path_fit`'s results, and for each the worst-case regret of its
+    policy at every gamma of the grid (all zeros for a fallen-back entry,
+    whose policy is the baseline itself)."""
     gammas = [float(g) for g in gammas]
     if any(g < 1.0 for g in gammas):
         raise ValueError("every gamma must be >= 1")
     if any(g2 <= g1 for g1, g2 in zip(gammas, gammas[1:])):
         raise ValueError("gammas must be strictly ascending")
 
-    specs = [_spec_for_gamma(data, g, rho) for g in gammas]
+    specs = [UncertaintySpec.from_dataset(data, g, rho=rho) for g in gammas]
     fits: List[FitResult] = []
     candidates: List[LogisticPolicy] = []
     # cross[c][i] = objective of candidate c evaluated under gamma_i.
@@ -289,31 +274,30 @@ def gamma_path_fit(
         except Exception as exc:
             raise SolverError(f"gamma path failed at gamma={gamma}: {exc}") from exc
         fits.append(res)
-        # Even a fit that fell back contributes its best iterate as a candidate.
-        if isinstance(res.policy, LogisticPolicy):
-            new = res.policy
-        else:
-            _, theta = min(res.per_restart, key=lambda pr: pr[0])
-            new = LogisticPolicy(theta)
+        # Even a fit that fell back contributes its best iterate as a candidate;
+        # the fit already evaluated it at its own gamma.
+        obj, theta = min(res.per_restart, key=lambda pr: pr[0])
+        new = LogisticPolicy(theta)
         candidates.append(new)
-        cross.append([worst_case_regret(new, pi0, data, specs[i]) for i in range(len(specs))])
+        cross.append(
+            [obj if i == k else worst_case_regret(new, pi0, data, specs[i]) for i in range(len(specs))]
+        )
 
     # Cross-gamma check: each grid entry keeps the best candidate for its own
     # gamma (the appendix's replace-by-previous rule, applied symmetrically so
     # the reported objectives are nondecreasing), with fallback on top.
     results: List[FitResult] = []
-    for i, (gamma, spec) in enumerate(zip(gammas, specs)):
+    rows: List[List[float]] = []
+    for i in range(len(gammas)):
         best_c = min(range(len(candidates)), key=lambda c: cross[c][i])
         obj = cross[best_c][i]
         if opts.fallback_to_baseline and obj > 0.0:
-            results.append(
-                replace(fits[i], policy=pi0, objective=0.0, fell_back=True)
-            )
+            results.append(replace(fits[i], policy=pi0, objective=0.0, fell_back=True))
+            rows.append([0.0] * len(gammas))
         else:
-            results.append(
-                replace(fits[i], policy=candidates[best_c], objective=obj, fell_back=False)
-            )
-    return results
+            results.append(replace(fits[i], policy=candidates[best_c], objective=obj, fell_back=False))
+            rows.append(cross[best_c])
+    return results, rows
 
 
 # Entries of one block of a screening sweep. Sweep rows are taken in blocks
@@ -423,13 +407,7 @@ class _TreeBuilder:
         return ((assignment == self.data.T).astype(float) - self.p0_obs) * self.data.Y
 
     def objective_for(self, assignment: np.ndarray) -> float:
-        r = self.contrast(assignment)
-        total = 0.0
-        for t in range(self.data.m):
-            idx = self.arms[t]
-            w, a, b = self.spec.restrict(idx)
-            total += solve_box(r[idx], a, b).value
-        return total
+        return worst_case_solution(self.contrast(assignment), self.spec, self.arms)[1]
 
     def best_constant(self):
         best_arm, best_obj = 0, np.inf

@@ -122,14 +122,22 @@ class LogisticPolicy(Policy):
         """Gradients d pi(T_i | X_i) / d theta stacked as (n, m-1, d+1)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         n = X.shape[0]
-        probs = self.prob_matrix(X)
-        T = np.asarray(T, dtype=np.int64)
-        pT = probs[np.arange(n), T]
-        # d pi_t / d s_u = pi_t (1[t=u] - pi_u) for the non-reference scores u >= 1.
-        delta = (T[:, None] == np.arange(1, self.m)[None, :]).astype(float)
-        coef = pT[:, None] * (delta - probs[:, 1:])  # (n, m-1)
+        coef = softmax_score_grad(self.prob_matrix(X), np.asarray(T, dtype=np.int64), np.ones(n))
         Z = np.hstack([np.ones((n, 1)), X])
         return coef[:, :, None] * Z[:, None, :]
+
+
+def softmax_score_grad(probs: np.ndarray, T: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """c_i * d pi(T_i | X_i) / d s_u for the non-reference scores u = 1..m-1, as (n, m-1).
+
+    d pi_t / d s_u = pi_t (1[t=u] - pi_u); the gradient in theta is this row
+    times (1, X_i), so sum_i c_i grad pi(T_i | X_i) is its transpose times
+    the design matrix.
+    """
+    n, m = probs.shape
+    pT = probs[np.arange(n), T]
+    delta = (T[:, None] == np.arange(1, m)[None, :]).astype(float)
+    return c[:, None] * pT[:, None] * (delta - probs[:, 1:])
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ The budgeted case runs Dinkelbach's ratio iteration, each step a greedy
 fractional knapsack. Two exact references check them in tests: corner
 enumeration for the box, and a Charnes-Cooper LP for the budget.
 
-All functions operate on one treatment arm at a time; callers slice their
-data per arm and sum the arm values.
+All functions operate on one treatment arm at a time. The one caller that
+slices the data per arm and sums the arm values is
+`evaluation.estimators.worst_case_solution`.
 """
 
 from __future__ import annotations

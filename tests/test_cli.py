@@ -170,13 +170,12 @@ class TestSimulate:
         assert len(objs) == 2 and all(o <= 0 for o in objs)
         assert objs[1] >= objs[0] - 1e-12
 
-    def test_workers_do_not_change_bytes(self, tmp_path):
-        out1, out2 = tmp_path / "w1", tmp_path / "w2"
-        assert main([*self.ARGS, "--output-dir", str(out1)]) == 0
-        assert main([*self.ARGS, "--workers", "2", "--output-dir", str(out2)]) == 0
-        names = sorted(os.listdir(out1))
-        match, mismatch, errors = filecmp.cmpfiles(out1, out2, names, shallow=False)
-        assert mismatch == [] and errors == []
+    def test_workers_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.ARGS, "--workers", "2", "--output-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCalibrate:
@@ -240,6 +239,44 @@ class TestConfigAndErrors:
                    "--output-dir", str(tmp_path)])
         assert rc == 2
         assert "ascending" in capsys.readouterr().err
+
+    def test_empty_gamma_list(self, sim_csv, tmp_path, capsys):
+        rc = main(["fit", *_data_args(sim_csv), "--gamma", ",", "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "--gamma" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, entry, name",
+        [
+            ("fit", {"itres": 7, "gama": 3}, "--itres"),
+            ("simulate", {"workers": 2}, "--workers"),
+            ("audit", {"seed": 1}, "--seed"),
+            ("evaluate", {"seed": 1}, "--seed"),
+        ],
+    )
+    def test_unknown_config_key(self, command, entry, name, sim_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        argv = {
+            "fit": ["fit", *_data_args(sim_csv), "--gamma", "1.2", "--iters", "5", "--restarts", "1"],
+            "simulate": TestTreeOptionsRejected.SIMULATE,
+            "audit": ["audit", *_data_args(sim_csv)],
+            "evaluate": ["evaluate", *_data_args(sim_csv), "--policy-file", str(cfg)],
+        }[command]
+        rc = main([*argv, "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert name in err and str(cfg) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["audit", "evaluate"])
+    def test_seed_refused_where_unused(self, command, sim_csv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *_data_args(sim_csv), "--seed", "1", "--output-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["audit", "--input", str(tmp_path / "none.csv"), "--covariates", "x0",
@@ -315,6 +352,7 @@ class TestFitPolicyOptions:
             (["--policy", "tree", "--init-scale", "2"], "--init-scale"),
             (["--depth", "3"], "--depth"),
             (["--policy", "logistic", "--min-leaf", "4"], "--min-leaf"),
+            (["--policy", "tree", "--seed", "3"], "--seed"),
         ],
     )
     def test_flag(self, flags, name, sim_csv, tmp_path, capsys):
@@ -332,6 +370,7 @@ class TestFitPolicyOptions:
             ({"depth": 3, "min_leaf": 4}, [], "--depth"),
             ({"policy": "tree", "min_leaf": 4}, ["--policy", "logistic"], "--min-leaf"),
             ({"policy": "forest"}, [], "--policy"),
+            ({"policy": "tree", "seed": 3}, [], "--seed"),
         ],
     )
     def test_config(self, entry, flags, name, sim_csv, tmp_path, capsys):

@@ -166,6 +166,21 @@ class TestWorstCase:
         assert hajek_regret(pol, NEVER_TREAT, data, W) == pytest.approx(value, abs=1e-9)
         assert value == pytest.approx(worst_case_regret(pol, NEVER_TREAT, data, spec), abs=1e-12)
 
+    @pytest.mark.parametrize("fn", [worst_case_regret, worst_case_weights])
+    def test_spec_of_another_length_is_refused(self, fn):
+        rng = np.random.default_rng(8)
+        data = Dataset(
+            X=rng.standard_normal((30, 2)),
+            T=rng.integers(0, 2, 30),
+            Y=rng.standard_normal(30),
+            m=2,
+            e_hat=rng.uniform(0.2, 0.8, 30),
+        )
+        pol = LogisticPolicy(rng.normal(0, 1, (1, 3)))
+        spec = UncertaintySpec.from_propensities(np.tile(data.e_hat, 2), 1.5)
+        with pytest.raises(ValueError, match="does not match"):
+            fn(pol, NEVER_TREAT, data, spec)
+
     def test_perturbation_bound(self):
         # Estimated propensities move the worst-case regret by at most
         # 2 B (gamma + 1/gamma) * mean |Delta W|.
@@ -377,6 +392,24 @@ class TestCalibration:
             spec = UncertaintySpec.from_dataset(data, gammas[k])
             direct = worst_case_regret(mat.policies[k], NEVER_TREAT, data, spec)
             assert mat.values[k, k] == pytest.approx(direct, abs=1e-8)
+
+    @pytest.mark.parametrize("rho", [None, 0.5])
+    def test_values_are_the_recomputed_cross_evaluations(self, rho):
+        # The matrix reuses the gamma path's cross-gamma values; each must be
+        # exactly what evaluating the entry's policy again gives, fallen-back
+        # entries (the baseline, worth 0) included.
+        fell_back = set()
+        for seed in range(3):
+            data = simulate_binary(SimParamsBinary(n=60, seed=20 + seed)).data
+            gammas = [1.0, 1.5, 3.0]
+            opts = FitOptions(iters=20, restarts=2, seed=seed)
+            mat = calibration_matrix(data, gammas, NEVER_TREAT, opts=opts, rho=rho)
+            for k, pol in enumerate(mat.policies):
+                fell_back.add(pol is NEVER_TREAT)
+                for kp, gamma in enumerate(gammas):
+                    spec = UncertaintySpec.from_dataset(data, gamma, rho=rho)
+                    assert mat.values[k, kp] == worst_case_regret(pol, NEVER_TREAT, data, spec)
+        assert fell_back == {True, False}
 
     def test_single_gamma_fallback_entry(self):
         data = self._small_sim()

@@ -179,6 +179,19 @@ class TestGammaPath:
         assert len(path) == 1
         assert path[0].objective <= direct.objective + 1e-12
 
+    @pytest.mark.parametrize("fallback", [True, False])
+    @pytest.mark.parametrize("rho", [None, 0.3])
+    def test_single_gamma_is_the_direct_fit(self, fallback, rho):
+        # The CLI fits one gamma through the path, so its result must be the
+        # direct fit's to the byte, fallen back or not.
+        for seed in range(4):
+            data = balanced_dataset(30 + seed)
+            opts = FitOptions(iters=30, restarts=2, seed=seed, fallback_to_baseline=fallback)
+            spec = UncertaintySpec.from_dataset(data, 1.5, rho=rho)
+            direct = subgradient_fit(data, spec, PI0, opts)
+            (path,) = gamma_path_fit(data, [1.5], PI0, opts, rho=rho)
+            assert path.to_json() == direct.to_json()
+
     def test_objectives_nondecreasing(self):
         for seed in (0, 1, 2):
             data = balanced_dataset(20 + seed, n=80)
