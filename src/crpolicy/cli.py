@@ -1,9 +1,11 @@
 """Command-line front end: ingestion -> fitting -> evaluation -> reports.
 
-Subcommands: fit | evaluate | simulate | calibrate | audit. Flags override
+Subcommands: fit | evaluate | simulate | calibrate | audit. Each
+subcommand's parser defines exactly the options it reads. Flags override
 values from an optional JSON config file (--config), which in turn
-overrides built-in defaults. All outputs are deterministic given the same
-configuration and seed.
+overrides built-in defaults; a config value is read by its flag's type and
+choices. All outputs are deterministic given the same configuration and
+seed.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import os
 import sys
 from dataclasses import replace
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -88,34 +90,35 @@ def _csv_names(text: str) -> List[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip() != ""]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's subparser, which defines every option it reads."""
     parser = argparse.ArgumentParser(
         prog="crpolicy",
         description="Confounding-robust policy learning and evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, need_input=True):
-        if need_input:
-            p.add_argument("--input", required=True, help="input dataset CSV")
-            p.add_argument("--covariates", type=_csv_names, help="comma-separated covariate column names")
-            p.add_argument("--treatment-col", dest="treatment_col", help="treatment column name")
-            p.add_argument("--outcome-col", dest="outcome_col", help="outcome column name")
-            p.add_argument("--propensity-col", dest="propensity_col", help="optional propensity column")
-            p.add_argument(
-                "--counterfactual-cols",
-                dest="counterfactual_cols",
-                type=_csv_names,
-                help="optional counterfactual outcome columns, one per arm",
-            )
-            p.add_argument("--clip-eps", dest="clip_eps", type=float, help="propensity clipping (default 1e-3)")
+    def add_output(p):
         p.add_argument("--output-dir", dest="output_dir", help="directory for emitted files (default .)")
         p.add_argument("--config", help="JSON config file; explicit flags win")
 
-    def add_gamma(p):
+    def add_input(p, propensities=True):
+        p.add_argument("--input", required=True, help="input dataset CSV")
+        p.add_argument("--covariates", type=_csv_names, help="comma-separated covariate column names")
+        p.add_argument("--treatment-col", dest="treatment_col", help="treatment column name")
+        p.add_argument("--outcome-col", dest="outcome_col", help="outcome column name")
+        if propensities:
+            p.add_argument("--propensity-col", dest="propensity_col", help="optional propensity column")
+            p.add_argument(
+                "--clip-eps", dest="clip_eps", type=float,
+                help="clipping of estimated propensities (default 1e-3); not with --propensity-col",
+            )
+        add_output(p)
+
+    def add_problem(p):  # the uncertainty sets and the baseline a certificate is relative to
         p.add_argument(
             "--gamma", "--gammas", dest="gamma", type=_csv_floats,
-            help="sensitivity value(s), comma separated, ascending",
+            help="sensitivity value(s), comma separated, strictly ascending",
         )
         p.add_argument(
             "--log-gamma",
@@ -125,16 +128,14 @@ def _build_parser() -> argparse.ArgumentParser:
             help="interpret --gamma values on the log scale",
         )
         p.add_argument("--rho", type=float, help="budget fraction in [0,1]; omit for the box set")
-
-    def add_fitopts(p, tree=False):
         p.add_argument("--baseline", choices=["control", "uniform", "file"], help="baseline policy")
         p.add_argument("--baseline-file", dest="baseline_file", help="policy JSON when --baseline file")
-        if tree:
-            p.add_argument("--policy", choices=["logistic", "tree"], help="policy class to fit")
+
+    def add_fitopts(p, policies=("logistic",)):
+        p.add_argument("--policy", choices=policies, help="policy class to fit")
+        if "tree" in policies:
             p.add_argument("--depth", type=int, help="tree depth (policy=tree)")
             p.add_argument("--min-leaf", dest="min_leaf", type=int, help="minimum units per leaf (policy=tree)")
-        else:
-            p.add_argument("--policy", choices=["logistic"], help="policy class to fit (logistic only)")
         p.add_argument("--restarts", type=int, help="subgradient restarts")
         p.add_argument("--iters", type=int, help="subgradient iterations per restart")
         p.add_argument("--eta0", type=float, help="initial step size")
@@ -150,15 +151,19 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     p_fit = sub.add_parser("fit", help="fit a confounding-robust policy")
-    add_io(p_fit)
-    add_gamma(p_fit)
-    add_fitopts(p_fit, tree=True)
+    add_input(p_fit)
+    add_problem(p_fit)
+    add_fitopts(p_fit, policies=("logistic", "tree"))
 
     p_eval = sub.add_parser("evaluate", help="evaluate a saved policy on a dataset")
-    add_io(p_eval)
-    add_gamma(p_eval)
-    p_eval.add_argument("--baseline", choices=["control", "uniform", "file"])
-    p_eval.add_argument("--baseline-file", dest="baseline_file")
+    add_input(p_eval)
+    add_problem(p_eval)
+    p_eval.add_argument(
+        "--counterfactual-cols",
+        dest="counterfactual_cols",
+        type=_csv_names,
+        help="optional counterfactual outcome columns, one per arm",
+    )
     p_eval.add_argument("--policy-file", dest="policy_file", help="policy or fit-result JSON")
     p_eval.add_argument(
         "--ht-probs",
@@ -168,8 +173,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_sim = sub.add_parser("simulate", help="generate synthetic data and replicate the regret curves")
-    add_io(p_sim, need_input=False)
-    add_gamma(p_sim)
+    add_output(p_sim)
+    add_problem(p_sim)
     add_fitopts(p_sim)
     p_sim.add_argument("--preset", choices=["binary-sec7", "multi-sec7"], help="synthetic design")
     p_sim.add_argument("--reps", type=int, help="number of replications")
@@ -177,85 +182,99 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--test-n", dest="test_n", type=int, help="out-of-sample evaluation draw size")
 
     p_cal = sub.add_parser("calibrate", help="cross-gamma calibration matrix")
-    add_io(p_cal)
-    add_gamma(p_cal)
+    add_input(p_cal)
+    add_problem(p_cal)
     add_fitopts(p_cal)
 
     p_aud = sub.add_parser("audit", help="dropped-covariate odds-ratio audit")
-    add_io(p_aud)
-    return parser
+    add_input(p_aud, propensities=False)
+    return parser, sub.choices
 
 
-# Commands that always fit logistic policies; their parsers have no tree options.
-_LOGISTIC_ONLY = ("simulate", "calibrate")
-_FITTING = ("fit",) + _LOGISTIC_ONLY
-# Options that only one policy class reads; fitting the other one refuses them.
-_POLICY_OPTIONS = {
-    "logistic": ("restarts", "iters", "eta0", "kappa", "init_scale", "seed"),
-    "tree": ("depth", "min_leaf"),
+def _options(p: argparse.ArgumentParser) -> Dict[str, argparse.Action]:
+    """The options of a command's subparser, by dest."""
+    return {a.dest: a for a in p._actions if a.dest != "help"}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+# Options read only when another option has a given value (None: is unset).
+# Setting one otherwise, by a flag or in the config, is an error.
+_READ_ONLY_WITH = {
+    "depth": ("policy", "tree"),
+    "min_leaf": ("policy", "tree"),
+    **dict.fromkeys(("restarts", "iters", "eta0", "kappa", "init_scale", "seed"), ("policy", "logistic")),
+    "baseline_file": ("baseline", "file"),
+    "clip_eps": ("propensity_col", None),
 }
 
 
-def _reject_ignored_options(command: str, policy: str, given: dict) -> None:
-    """Refuse options the policy being fitted would ignore.
+def _config_value(action: argparse.Action, val, where: str):
+    """Read a config value as the flag of `action` reads its argument.
 
-    `given` maps each option set by a flag or in the config file to where
-    it was set.
+    A JSON list stands for a comma-separated flag argument; a switch takes
+    true or false.
     """
-    if command in _LOGISTIC_ONLY and policy != "logistic":
-        raise CRPolicyError(
-            f"{given['policy']}: {command} fits logistic policies only and does not take --policy"
-        )
-    if policy not in _POLICY_OPTIONS:
-        raise CRPolicyError(f"{given['policy']}: unknown --policy {policy!r}")
-    for other, keys in _POLICY_OPTIONS.items():
-        if other == policy:
-            continue
-        for key in keys:
-            if key in given:
-                name = key.replace("_", "-")
-                raise CRPolicyError(
-                    f"{given[key]}: {command} with the {policy} policy does not take --{name}"
-                )
+    flag = "argument " + "/".join(action.option_strings)
+    if action.nargs == 0:
+        if not isinstance(val, bool):
+            raise CRPolicyError(f"{where}: {flag}: expected true or false, not {val!r}")
+        return val
+    if isinstance(val, list) and action.type in (_csv_floats, _csv_names):
+        val = ",".join(map(str, val))
+    if not isinstance(val, (str, int, float)):
+        raise CRPolicyError(f"{where}: {flag}: expected a string or a number, not {val!r}")
+    text = str(val)
+    try:
+        value = action.type(text) if action.type else text
+    except ValueError:
+        raise CRPolicyError(f"{where}: {flag}: invalid {action.type.__name__} value: {text!r}") from None
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise CRPolicyError(f"{where}: {flag}: invalid choice: {value!r} (choose from {choices})")
+    return value
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
+def _merge_config(args: argparse.Namespace, options: Dict[str, argparse.Action]) -> dict:
+    """Defaults, then the --config file, then the flags; `options` are the command's."""
     merged = dict(_DEFAULTS)
     given = {}
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        with open(cfg_path, "r", encoding="utf-8") as fh:
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
-            raise CRPolicyError(f"{cfg_path}: config must be a JSON object")
+            raise CRPolicyError(f"{args.config}: config must be a JSON object")
         for key, val in cfg.items():
-            merged[key.replace("-", "_")] = val
-            given[key.replace("-", "_")] = cfg_path
+            dest = key.replace("-", "_")
+            if dest not in options or dest == "config":
+                raise CRPolicyError(
+                    f"{args.config}: unknown key {key!r}: {args.command} has no {_flag(dest)}"
+                )
+            merged[dest] = _config_value(options[dest], val, f"{args.config}: key {key!r}")
+            given[dest] = args.config
     for key, val in vars(args).items():
         if val is not None:
             merged[key] = val
             given[key] = "command line"
-    if args.command in _FITTING:
-        _reject_ignored_options(args.command, merged["policy"], given)
-    # A config key that no option of this command reads would be ignored.
-    options = set(vars(args)) - {"command", "config"}
-    for key, where in given.items():
-        if where == cfg_path and key not in options:
-            name = key.replace("_", "-")
-            raise CRPolicyError(f"{cfg_path}: unknown key {key!r}: {args.command} has no --{name}")
+    for key, (other, value) in _READ_ONLY_WITH.items():
+        if key in given and merged[other] != value:
+            when = f"with {_flag(other)} {value}" if value is not None else f"without {_flag(other)}"
+            raise CRPolicyError(f"{given[key]}: {args.command} reads {_flag(key)} only {when}")
     return merged
 
 
 def _gammas(cfg: dict) -> List[float]:
-    gammas = [float(g) for g in cfg["gamma"]]
-    if cfg.get("log_gamma"):
+    gammas = cfg["gamma"]
+    if cfg["log_gamma"]:
         gammas = [float(np.exp(g)) for g in gammas]
     if not gammas:
         raise CRPolicyError("--gamma needs at least one value")
     if any(g < 1.0 for g in gammas):
         raise CRPolicyError("every gamma must be >= 1 (after exp when --log-gamma)")
-    if sorted(gammas) != gammas:
-        raise CRPolicyError("--gamma values must be ascending")
+    if any(g2 <= g1 for g1, g2 in zip(gammas, gammas[1:])):
+        raise CRPolicyError("--gamma values must be strictly ascending")
     return gammas
 
 
@@ -275,33 +294,27 @@ def _schema(cfg: dict) -> ColumnSchema:
 def _load_with_propensities(cfg: dict) -> Dataset:
     data = load_dataset(cfg["input"], _schema(cfg))
     if data.e_hat is None:
-        data = data.with_propensities(estimate_propensities(data, clip_eps=float(cfg["clip_eps"])))
+        data = data.with_propensities(estimate_propensities(data, clip_eps=cfg["clip_eps"]))
     return data
 
 
 def _baseline(cfg: dict, m: int) -> Policy:
-    kind = cfg["baseline"]
-    if kind == "control":
-        return control_baseline(m)
-    if kind == "uniform":
-        return uniform_baseline(m)
-    if kind == "file":
-        path = cfg.get("baseline_file")
-        if not path:
+    if cfg["baseline"] == "file":
+        if not cfg["baseline_file"]:
             raise CRPolicyError("--baseline file requires --baseline-file")
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(cfg["baseline_file"], "r", encoding="utf-8") as fh:
             return policy_from_json(fh.read())
-    raise CRPolicyError(f"unknown baseline {kind!r}")
+    return control_baseline(m) if cfg["baseline"] == "control" else uniform_baseline(m)
 
 
 def _fit_options(cfg: dict) -> FitOptions:
     return FitOptions(
-        eta0=float(cfg["eta0"]),
-        kappa=float(cfg["kappa"]),
-        iters=int(cfg["iters"]),
-        restarts=int(cfg["restarts"]),
-        seed=int(cfg["seed"]),
-        init_scale=float(cfg["init_scale"]),
+        eta0=cfg["eta0"],
+        kappa=cfg["kappa"],
+        iters=cfg["iters"],
+        restarts=cfg["restarts"],
+        seed=cfg["seed"],
+        init_scale=cfg["init_scale"],
         fallback_to_baseline=not cfg["no_fallback"],
     )
 
@@ -324,7 +337,7 @@ def _cmd_fit(cfg: dict) -> int:
             spec = UncertaintySpec.from_dataset(data, gamma, rho=rho)
             fits.append(
                 tree_partition_fit(
-                    data, spec, pi0, depth=int(cfg["depth"]), min_leaf=int(cfg["min_leaf"]),
+                    data, spec, pi0, depth=cfg["depth"], min_leaf=cfg["min_leaf"],
                     fallback_to_baseline=not cfg["no_fallback"],
                 )
             )
@@ -390,58 +403,37 @@ def _rep_seed(seed: int, rep: int, stream: int = 0) -> int:
 
 
 def _simulate_one(cfg: dict, gammas: List[float], rep: int):
-    base_seed = int(cfg["seed"])
-    generate = simulate_binary if cfg["preset"] == "binary-sec7" else simulate_multi
-    params = SimParamsBinary if cfg["preset"] == "binary-sec7" else SimParamsMulti
-    if cfg["preset"] not in ("binary-sec7", "multi-sec7"):
-        raise CRPolicyError(f"unknown preset {cfg['preset']!r}")
-    sim = generate(params(n=int(cfg["n"]), seed=_rep_seed(base_seed, rep)))
+    binary = cfg["preset"] == "binary-sec7"
+    generate, params = (simulate_binary, SimParamsBinary) if binary else (simulate_multi, SimParamsMulti)
+    sim = generate(params(n=cfg["n"], seed=_rep_seed(cfg["seed"], rep)))
     # Learned policies are scored out of sample on a fresh draw with known
     # counterfactuals, mirroring the replication design.
-    test = generate(params(n=int(cfg["test_n"]), seed=_rep_seed(base_seed, rep, stream=1))).data
+    test = generate(params(n=cfg["test_n"], seed=_rep_seed(cfg["seed"], rep, stream=1))).data
     data = sim.data
     pi0 = _baseline(cfg, data.m)
     opts = _fit_options(cfg)
     rho = cfg.get("rho")
 
-    records = []
     # Naive comparator: gamma = 1 fit without fallback (assumes no confounding).
     spec1 = UncertaintySpec.from_dataset(data, 1.0)
     naive = subgradient_fit(data, spec1, pi0, replace(opts, fallback_to_baseline=False))
-    for gamma in gammas:
-        records.append(
-            {
-                "method": "ipw-logistic",
-                "gamma": gamma,
-                "rep": rep,
-                "true_regret": true_regret(naive.policy, pi0, test),
-            }
-        )
-    for gamma, fit in zip(gammas, gamma_path_fit(data, gammas, pi0, opts)):
-        records.append(
-            {
-                "method": "robust-logistic",
-                "gamma": gamma,
-                "rep": rep,
-                "true_regret": true_regret(fit.policy, pi0, test),
-            }
-        )
+    methods = [
+        ("ipw-logistic", [naive] * len(gammas)),
+        ("robust-logistic", gamma_path_fit(data, gammas, pi0, opts)),
+    ]
     if rho is not None:
-        for gamma, fit in zip(gammas, gamma_path_fit(data, gammas, pi0, opts, rho=rho)):
-            records.append(
-                {
-                    "method": f"robust-budgeted-{rho:g}",
-                    "gamma": gamma,
-                    "rep": rep,
-                    "true_regret": true_regret(fit.policy, pi0, test),
-                }
-            )
+        methods.append((f"robust-budgeted-{rho:g}", gamma_path_fit(data, gammas, pi0, opts, rho=rho)))
+    records = [
+        {"method": method, "gamma": gamma, "rep": rep, "true_regret": true_regret(fit.policy, pi0, test)}
+        for method, fits in methods
+        for gamma, fit in zip(gammas, fits)
+    ]
     return sim, records
 
 
 def _cmd_simulate(cfg: dict) -> int:
     gammas = _gammas(cfg)
-    results = [_simulate_one(cfg, gammas, rep) for rep in range(int(cfg["reps"]))]
+    results = [_simulate_one(cfg, gammas, rep) for rep in range(cfg["reps"])]
     all_records = []
     for rep, (sim, records) in enumerate(results):
         write_dataset_csv(_out(cfg, f"dataset_rep{rep:03d}.csv"), sim.data, w_star=sim.w_star)
@@ -489,10 +481,10 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
+        cfg = _merge_config(args, _options(commands[args.command]))
         return _COMMANDS[args.command](cfg)
     except (CRPolicyError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

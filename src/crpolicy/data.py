@@ -141,9 +141,6 @@ class ArmIndex:
     def __getitem__(self, t: int) -> np.ndarray:
         return self.indices[t]
 
-    def sizes(self) -> np.ndarray:
-        return np.array([idx.size for idx in self.indices])
-
     def require_nonempty(self, context: str = "") -> None:
         for t, idx in enumerate(self.indices):
             if idx.size == 0:

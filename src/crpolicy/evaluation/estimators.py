@@ -64,6 +64,8 @@ def worst_case_solution(r: np.ndarray, spec: UncertaintySpec, arms: ArmIndex):
     """
     if r.size != spec.n:
         raise ValueError("uncertainty spec does not match the dataset")
+    if spec.budgeted and spec.lam.size != arms.m:
+        raise ValueError(f"budget vector has {spec.lam.size} entries for {arms.m} arms")
     W = np.empty(spec.n)
     total = 0.0
     for t in range(arms.m):

@@ -165,8 +165,6 @@ def _run_restart(problem: _SubgradientProblem, theta0: np.ndarray, opts: FitOpti
     for k in range(opts.iters):
         eta_k = opts.eta0 * (k + 1) ** (-opts.kappa)
         g = problem.subgradient(LogisticPolicy(theta))
-        if not np.all(np.isfinite(g)):
-            raise SolverError(f"non-finite subgradient at iteration {k}")
         theta = _project(theta - eta_k * g, opts.radius)
         avg += theta
     return avg / opts.iters
@@ -539,7 +537,7 @@ def tree_partition_fit(
     builder = _TreeBuilder(data, spec, pi0, min_leaf)
     arm0, obj = builder.best_constant()
     builder.assignment[:] = arm0
-    if depth == 0 or data.n == 0:
+    if depth == 0:
         root = builder._leaf(arm0)
     else:
         root, obj = builder.grow(np.arange(data.n), depth, obj)

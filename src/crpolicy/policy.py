@@ -207,29 +207,6 @@ class TreePolicy(Policy):
 
         return walk(self.root)
 
-    def leaf_assignment(self, X: np.ndarray) -> np.ndarray:
-        """Index of the leaf reached by each row, in left-to-right order."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.zeros(X.shape[0], dtype=np.int64)
-        counter = [0]
-
-        def walk(node, mask):
-            if isinstance(node, TreeLeaf):
-                out[mask] = counter[0]
-                counter[0] += 1
-                return
-            go_left = X[mask, node.feature] <= node.threshold
-            idx = np.flatnonzero(mask)
-            left_mask = np.zeros_like(mask)
-            left_mask[idx[go_left]] = True
-            right_mask = np.zeros_like(mask)
-            right_mask[idx[~go_left]] = True
-            walk(node.left, left_mask)
-            walk(node.right, right_mask)
-
-        walk(self.root, np.ones(X.shape[0], dtype=bool))
-        return out
-
     def prob_matrix(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.empty((X.shape[0], self.m))

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from crpolicy import ColumnSchema, SimParamsBinary, load_dataset, simulate_binary
-from crpolicy.cli import main
+from crpolicy.cli import _build_parser, _options, main
 from crpolicy.evaluation.reports import write_dataset_csv
+from crpolicy.policy import policy_to_json, uniform_baseline
 
 COVS = "x0,x1,x2,x3,x4"
 SCHEMA = ColumnSchema(
@@ -261,7 +262,7 @@ class TestConfigAndErrors:
         argv = {
             "fit": ["fit", *_data_args(sim_csv), "--gamma", "1.2", "--iters", "5", "--restarts", "1"],
             "simulate": TestTreeOptionsRejected.SIMULATE,
-            "audit": ["audit", *_data_args(sim_csv)],
+            "audit": ["audit", *_data_args(sim_csv)[:-2]],
             "evaluate": ["evaluate", *_data_args(sim_csv), "--policy-file", str(cfg)],
         }[command]
         rc = main([*argv, "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
@@ -392,3 +393,170 @@ class TestFitPolicyOptions:
                               "--eta0", "0.5", "--kappa", "0.6", "--init-scale", "2")) == 0
         doc = json.loads((tmp_path / "out" / "fit.json").read_text())
         assert doc["options"]["iters"] == 7 and doc["options"]["init_scale"] == 2.0
+
+
+def _run(argv):
+    """main's exit code, whether the error came from argparse or from main."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestOptionSurface:
+    """Each subcommand defines exactly the options its handler reads."""
+
+    PROBLEM = ["gamma", "log_gamma", "rho", "baseline", "baseline_file"]
+    FITTING = ["policy", "restarts", "iters", "eta0", "kappa", "init_scale", "seed", "no_fallback"]
+    COLUMNS = ["input", "covariates", "treatment_col", "outcome_col", "output_dir", "config"]
+    OPTIONS = {
+        "fit": COLUMNS + ["propensity_col", "clip_eps"] + PROBLEM + FITTING + ["depth", "min_leaf"],
+        "evaluate": COLUMNS + ["propensity_col", "clip_eps"] + PROBLEM
+        + ["counterfactual_cols", "policy_file", "ht_probs"],
+        "simulate": ["output_dir", "config"] + PROBLEM + FITTING + ["preset", "reps", "n", "test_n"],
+        "calibrate": COLUMNS + ["propensity_col", "clip_eps"] + PROBLEM + FITTING,
+        "audit": COLUMNS,
+    }
+
+    def test_option_sets(self):
+        _, commands = _build_parser()
+        assert {name: sorted(_options(p)) for name, p in commands.items()} == {
+            name: sorted(options) for name, options in self.OPTIONS.items()
+        }
+        assert sum(len(options) for options in self.OPTIONS.values()) == 85
+
+    def _argv(self, command, sim_csv):
+        columns = _data_args(sim_csv)[:-2]  # without --propensity-col
+        return {
+            "audit": ["audit", *columns],
+            "fit": ["fit", *columns, "--gamma", "1.2", "--iters", "5", "--restarts", "1"],
+            "calibrate": ["calibrate", *columns, "--gamma", "1.0,1.2", "--iters", "5", "--restarts", "1"],
+        }[command]
+
+    @pytest.mark.parametrize(
+        "command, flags, name",
+        [
+            ("audit", ["--clip-eps", "0.2"], "--clip-eps"),
+            ("audit", ["--propensity-col", "e_nominal"], "--propensity-col"),
+            ("audit", ["--counterfactual-cols", "y_cf0,y_cf1"], "--counterfactual-cols"),
+            ("fit", ["--counterfactual-cols", "y_cf0,y_cf1"], "--counterfactual-cols"),
+            ("calibrate", ["--counterfactual-cols", "y_cf0,y_cf1"], "--counterfactual-cols"),
+            ("fit", ["--baseline-file", "/nonexistent.json"], "--baseline-file"),
+            ("fit", ["--baseline", "uniform", "--baseline-file", "/nonexistent.json"], "--baseline-file"),
+            ("fit", ["--propensity-col", "e_nominal", "--clip-eps", "0.3"], "--clip-eps"),
+        ],
+    )
+    def test_unread_flag(self, command, flags, name, sim_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert _run([*self._argv(command, sim_csv), *flags, "--output-dir", str(out)]) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, entry, flags, name",
+        [
+            ("audit", {"clip_eps": 0.2}, [], "--clip-eps"),
+            ("audit", {"propensity_col": "e_nominal"}, [], "--propensity-col"),
+            ("audit", {"counterfactual_cols": ["y_cf0", "y_cf1"]}, [], "--counterfactual-cols"),
+            ("fit", {"counterfactual_cols": ["y_cf0", "y_cf1"]}, [], "--counterfactual-cols"),
+            ("calibrate", {"counterfactual-cols": "y_cf0,y_cf1"}, [], "--counterfactual-cols"),
+            ("fit", {"baseline_file": "/nonexistent.json"}, [], "--baseline-file"),
+            ("fit", {"baseline_file": "/nonexistent.json"}, ["--baseline", "control"], "--baseline-file"),
+            ("fit", {"propensity_col": "e_nominal", "clip_eps": 0.3}, [], "--clip-eps"),
+            ("fit", {"clip_eps": 0.3}, ["--propensity-col", "e_nominal"], "--clip-eps"),
+        ],
+    )
+    def test_unread_config_key(self, command, entry, flags, name, sim_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        out = tmp_path / "out"
+        rc = main([*self._argv(command, sim_csv), *flags, "--config", str(cfg), "--output-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert name in err and str(cfg) in err
+        assert not out.exists()
+
+    def test_read_options_still_accepted(self, sim_csv, tmp_path):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(policy_to_json(uniform_baseline(2)))
+        argv = self._argv("fit", sim_csv)
+        assert main([*argv, "--clip-eps", "0.05", "--baseline", "file", "--baseline-file", str(baseline),
+                     "--output-dir", str(tmp_path / "a")]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"clip_eps": 0.05, "baseline": "file", "baseline_file": str(baseline)}))
+        assert main([*argv, "--config", str(cfg), "--output-dir", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "fit.json").read_bytes() == (tmp_path / "b" / "fit.json").read_bytes()
+
+
+class TestConfigValues:
+    """A config value is read as the flag reads its argument."""
+
+    def _fit(self, sim_csv, out, *extra):
+        return ["fit", *_data_args(sim_csv), "--iters", "5", "--restarts", "1", *extra,
+                "--output-dir", str(out)]
+
+    @pytest.mark.parametrize(
+        "entry, flags",
+        [
+            ({"gamma": 1.5}, ["--gamma", "1.5"]),
+            ({"rho": 0.2}, ["--rho", "0.2"]),
+            ({"rho": "0.2"}, ["--rho", "0.2"]),
+            ({"gamma": [1.2, 1.5], "eta0": 1}, ["--gamma", "1.2,1.5", "--eta0", "1"]),
+            ({"gamma": "1.2,1.5", "no_fallback": True}, ["--gammas", "1.2,1.5", "--no-fallback"]),
+        ],
+    )
+    def test_same_bytes_as_the_flag(self, entry, flags, sim_csv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        assert main(self._fit(sim_csv, tmp_path / "flag", *flags)) == 0
+        assert main(self._fit(sim_csv, tmp_path / "cfg", "--config", str(cfg))) == 0
+        names = sorted(os.listdir(tmp_path / "flag"))
+        assert names == sorted(os.listdir(tmp_path / "cfg")) and "fit.json" in names
+        for name in names:
+            assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "cfg" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "entry, flags, name",
+        [
+            ({"iters": 7.9}, ["--iters", "7.9"], "--iters"),
+            ({"gamma": [1.2, "x"]}, ["--gamma", "1.2,x"], "--gamma"),
+            ({"baseline": "treat"}, ["--baseline", "treat"], "--baseline"),
+            ({"rho": None}, [], "--rho"),
+            ({"no_fallback": "yes"}, [], "--no-fallback"),
+        ],
+    )
+    def test_rejected_as_the_flag(self, entry, flags, name, sim_csv, tmp_path, capsys):
+        if flags:
+            assert _run(self._fit(sim_csv, tmp_path / "out", *flags)) == 2
+            assert name in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        assert main(self._fit(sim_csv, tmp_path / "out", "--config", str(cfg))) == 2
+        err = capsys.readouterr().err
+        assert name in err and str(cfg) in err and repr(next(iter(entry))) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, entry, name",
+        [("simulate", {"preset": "nope"}, "--preset"), ("audit", {"covariates": {"x0": 1}}, "--covariates")],
+    )
+    def test_other_commands(self, command, entry, name, sim_csv, tmp_path, capsys):
+        argv = {
+            "simulate": TestTreeOptionsRejected.SIMULATE,
+            "audit": ["audit", *_data_args(sim_csv)[:-2]],
+        }[command]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        assert main([*argv, "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert name in err and str(cfg) in err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("policy", ["logistic", "tree"])
+def test_gamma_grid_strictly_ascending(policy, sim_csv, tmp_path, capsys):
+    rc = main(["fit", *_data_args(sim_csv), "--policy", policy, "--gamma", "1.5,1.5",
+               "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "ascending" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -19,6 +19,7 @@ from crpolicy import (
     oracle_box,
     simulate_binary,
     simulate_multi,
+    subgradient_fit,
     true_regret,
     uniform_baseline,
     weight_bounds,
@@ -180,6 +181,23 @@ class TestWorstCase:
         spec = UncertaintySpec.from_propensities(np.tile(data.e_hat, 2), 1.5)
         with pytest.raises(ValueError, match="does not match"):
             fn(pol, NEVER_TREAT, data, spec)
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_budget_vector_of_another_length_is_refused(self, size):
+        rng = np.random.default_rng(9)
+        data = Dataset(
+            X=rng.standard_normal((30, 2)),
+            T=np.arange(30) % 2,
+            Y=rng.standard_normal(30),
+            m=2,
+            e_hat=rng.uniform(0.2, 0.8, 30),
+        )
+        pol = LogisticPolicy(rng.normal(0, 1, (1, 3)))
+        spec = UncertaintySpec.from_propensities(data.e_hat, 1.5, lam=np.full(size, 0.5))
+        with pytest.raises(ValueError, match=f"budget vector has {size} entries for 2 arms"):
+            worst_case_regret(pol, NEVER_TREAT, data, spec)
+        with pytest.raises(ValueError, match=f"budget vector has {size} entries for 2 arms"):
+            subgradient_fit(data, spec, NEVER_TREAT, FitOptions(iters=2, restarts=1))
 
     def test_perturbation_bound(self):
         # Estimated propensities move the worst-case regret by at most
