@@ -302,9 +302,20 @@ def _baseline(cfg: dict, m: int) -> Policy:
     if cfg["baseline"] == "file":
         if not cfg["baseline_file"]:
             raise CRPolicyError("--baseline file requires --baseline-file")
-        with open(cfg["baseline_file"], "r", encoding="utf-8") as fh:
-            return policy_from_json(fh.read())
+        return _read_policy(cfg["baseline_file"])
     return control_baseline(m) if cfg["baseline"] == "control" else uniform_baseline(m)
+
+
+def _read_policy(path: str) -> Policy:
+    """The policy of a policy or fit-result JSON file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    try:
+        if "policy" in doc and "variant" not in doc:
+            return FitResult.from_json(json.dumps(doc)).policy
+        return policy_from_json(json.dumps(doc))
+    except KeyError as exc:
+        raise CRPolicyError(f"{path}: the policy JSON has no field {exc.args[0]!r}") from None
 
 
 def _fit_options(cfg: dict) -> FitOptions:
@@ -363,16 +374,11 @@ def _cmd_evaluate(cfg: dict) -> int:
     data = _load_with_propensities(cfg)
     gammas = _gammas(cfg)
     pi0 = _baseline(cfg, data.m)
-    path = cfg.get("policy_file")
-    if not path:
+    if not cfg.get("policy_file"):
         raise CRPolicyError("evaluate requires --policy-file")
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    pol = (
-        FitResult.from_json(json.dumps(doc)).policy
-        if "policy" in doc and "variant" not in doc
-        else policy_from_json(json.dumps(doc))
-    )
+    if cfg["ht_probs"] == []:
+        raise CRPolicyError("--ht-probs needs at least one value")
+    pol = _read_policy(cfg["policy_file"])
     rho = cfg.get("rho")
 
     report = {

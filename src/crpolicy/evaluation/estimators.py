@@ -18,7 +18,7 @@ import numpy as np
 from ..data import ArmIndex, Dataset
 from ..exceptions import EmptyArmError
 from ..policy import Policy
-from ..subproblem import solve_box, solve_budgeted
+from ..subproblem import _validated, box_rows, solve_box, solve_budgeted
 from ..uncertainty import UncertaintySpec
 
 __all__ = [
@@ -55,17 +55,21 @@ def hajek_regret(pol: Policy, pi0: Policy, data: Dataset, W: np.ndarray) -> floa
     return total
 
 
-def worst_case_solution(r: np.ndarray, spec: UncertaintySpec, arms: ArmIndex):
-    """Worst-case weights W and value of the contrasts r over the uncertainty set.
-
-    The one per-arm kernel: each arm's slice of r is solved exactly (box
-    threshold scan or budgeted Dinkelbach) and the arm values are summed in
-    arm order. Returns (W, value).
-    """
-    if r.size != spec.n:
+def _check_spec(spec: UncertaintySpec, arms: ArmIndex, n: int) -> None:
+    if n != spec.n:
         raise ValueError("uncertainty spec does not match the dataset")
     if spec.budgeted and spec.lam.size != arms.m:
         raise ValueError(f"budget vector has {spec.lam.size} entries for {arms.m} arms")
+
+
+def worst_case_solution(r: np.ndarray, spec: UncertaintySpec, arms: ArmIndex):
+    """Worst-case weights W and value of the contrasts r over the uncertainty set.
+
+    Each arm's slice of r is solved exactly (box threshold scan or budgeted
+    Dinkelbach) and the arm values are summed in arm order. Returns
+    (W, value). `ArmKernel` solves stacked rows of r the same way.
+    """
+    _check_spec(spec, arms, r.size)
     W = np.empty(spec.n)
     total = 0.0
     for t in range(arms.m):
@@ -80,6 +84,35 @@ def worst_case_solution(r: np.ndarray, spec: UncertaintySpec, arms: ArmIndex):
         W[idx] = sol.weights
         total += sol.value
     return W, total
+
+
+class ArmKernel:
+    """The weights `worst_case_solution` gives each row of stacked contrasts,
+    bit for bit. Box bounds are validated and pre-sorted for `box_rows` once
+    per spec; a budgeted spec solves each row's arms with `solve_budgeted`."""
+
+    def __init__(self, spec: UncertaintySpec, arms: ArmIndex):
+        _check_spec(spec, arms, sum(idx.size for idx in arms.indices))
+        self.spec, self.parts = spec, [(idx, *spec.restrict(idx)) for idx in arms.indices]
+        for _, _, a, b in self.parts:
+            _validated(a, a, b)
+        self.pre = [np.argsort(b - a, kind="stable") for _, _, a, b in self.parts]
+
+    def shares(self, r: np.ndarray) -> np.ndarray:
+        """W_i / (sum of W over unit i's arm) for each row of r (R, n), at the row's worst-case W."""
+        if not np.isfinite(r).all():
+            raise ValueError("r, a, b must be finite")
+        out = np.empty_like(r)
+        for t, (idx, w, a, b) in enumerate(self.parts):
+            rt, pre = r.take(idx, axis=1), self.pre[t]  # C order: r[:, idx] is column-major
+            if self.spec.budgeted:
+                W = np.array([solve_budgeted(row, a, b, w, float(self.spec.lam[t])).weights for row in rt])
+            else:
+                # A stable sort of each row in the pre-order by b - a sorts on (r, b - a).
+                W = box_rows(rt, a, b, pre[np.argsort(rt[:, pre], axis=1, kind="stable")])[1]
+            # W is in C order, so each row sums as the 1-D W[idx] of one row does.
+            out[:, idx] = W / W.sum(axis=1)[:, None]
+        return out
 
 
 def worst_case_regret(

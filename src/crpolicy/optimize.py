@@ -3,13 +3,15 @@
 `subgradient_fit` runs the projected subgradient method with random
 restarts over logistic policies: each iteration solves the worst-case
 weight subproblem exactly, then steps against the resulting subgradient of
-the worst-case regret. `gamma_path_fit` chains fits over an ascending
-sensitivity grid with warm starts and cross-gamma objective checks.
-`tree_partition_fit` greedily grows an axis-aligned decision tree, taking
-at each leaf the split that most lowers the robust objective of the whole
-tree: one batched sweep per (feature, side, arm) screens every candidate
-split of the leaf, and the exact objective confirms the few screened within
-roundoff of the best, so the choice is the one an exact scan makes.
+the worst-case regret. The restarts advance together as one stacked
+iterate, in blocks, and end exactly where runs one after another would.
+`gamma_path_fit` chains fits over an ascending sensitivity grid with warm
+starts and cross-gamma objective checks. `tree_partition_fit` greedily
+grows an axis-aligned decision tree, taking at each leaf the split that
+most lowers the robust objective of the whole tree: one batched sweep per
+(feature, side, arm) screens every candidate split of the leaf, and the
+exact objective confirms the few screened within roundoff of the best, so
+the choice is the one an exact scan makes.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, softmax
 from .exceptions import SolverError
 from .policy import (
     LogisticPolicy,
@@ -28,6 +30,7 @@ from .policy import (
     TreeLeaf,
     TreeNode,
     TreePolicy,
+    logistic_scores,
     policy_from_json,
     policy_to_json,
     softmax_score_grad,
@@ -35,7 +38,7 @@ from .policy import (
 # Not called here: perfbench's tracer self-test reads this binding.
 from .subproblem import solve_box  # noqa: F401
 from .uncertainty import UncertaintySpec
-from .evaluation.estimators import worst_case_regret, worst_case_solution
+from .evaluation.estimators import ArmKernel, worst_case_regret, worst_case_solution
 
 __all__ = ["FitOptions", "FitResult", "subgradient_fit", "gamma_path_fit", "tree_partition_fit"]
 
@@ -47,9 +50,10 @@ class FitOptions:
     eta0 and kappa set the step schedule eta_k = eta0 * (k+1)^(-kappa);
     restart 0 always starts from theta = 0 and the remaining restarts draw
     theta ~ Normal(0, init_scale^2) from a per-restart stream derived from
-    (seed, restart index). `radius` optionally projects theta onto a
-    Euclidean ball for conditioning; by default the parameter space is
-    unconstrained and the projection is the identity.
+    (seed, restart index). The restarts run stacked; each gives, bit for
+    bit, what it gives run alone. `radius` optionally projects each restart's
+    theta onto a Euclidean ball for conditioning; by default the parameter
+    space is unconstrained and the projection is the identity.
     """
 
     eta0: float = 1.0
@@ -131,43 +135,31 @@ class _SubgradientProblem:
         self.Z = np.hstack([np.ones((data.n, 1)), data.X])
         self.shape = (data.m - 1, data.d + 1)
 
-    def subgradient(self, pol: LogisticPolicy) -> np.ndarray:
-        """g = sum_i (W_i / sum_{j in arm} W_j) Y_i grad pi(T_i | X_i) at the pessimal W."""
-        data = self.data
-        probs = pol.prob_matrix(data.X)
-        r = (probs[np.arange(data.n), data.T] - self.p0_obs) * data.Y
-        W, _ = worst_case_solution(r, self.spec, self.arms)
-        norm = np.empty(data.n)
-        for t in range(data.m):
-            idx = self.arms[t]
-            norm[idx] = W[idx].sum()
-        g = softmax_score_grad(probs, data.T, (W / norm) * data.Y).T @ self.Z
-        if not np.all(np.isfinite(g)):
-            raise SolverError("non-finite subgradient")
-        return g
+    def descend(self, theta: np.ndarray, opts: FitOptions) -> np.ndarray:
+        """The averaged iterates of the runs from each row of theta (R, m-1, d+1). A step
+        of row j takes g_j = sum_i (W_i / sum_{l in arm} W_l) Y_i grad pi_j(T_i | X_i)
+        at the row's pessimal W."""
+        data, kernel = self.data, ArmKernel(self.spec, self.arms)
+        theta, avg = theta.copy(), np.zeros_like(theta)
+        for k in range(opts.iters):
+            if not np.isfinite(theta).all():
+                raise ValueError("theta must be finite")
+            probs = softmax(logistic_scores(theta, data.X))
+            c = kernel.shares((probs[:, np.arange(data.n), data.T] - self.p0_obs) * data.Y) * data.Y
+            g = np.swapaxes(softmax_score_grad(probs, data.T, c), 1, 2) @ self.Z
+            if not np.isfinite(g).all():
+                raise SolverError("non-finite subgradient")
+            g *= opts.eta0 * (k + 1) ** (-opts.kappa)
+            theta -= g
+            if opts.radius is not None:
+                for row, norm in zip(theta, map(np.linalg.norm, theta)):
+                    row *= opts.radius / norm if norm > opts.radius else 1.0
+            avg += theta
+        avg /= opts.iters
+        return avg
 
     def objective(self, pol: Policy) -> float:
         return worst_case_regret(pol, self.pi0, self.data, self.spec, arms=self.arms)
-
-
-def _project(theta: np.ndarray, radius: Optional[float]) -> np.ndarray:
-    if radius is None:
-        return theta
-    norm = float(np.linalg.norm(theta))
-    if norm <= radius:
-        return theta
-    return theta * (radius / norm)
-
-
-def _run_restart(problem: _SubgradientProblem, theta0: np.ndarray, opts: FitOptions) -> np.ndarray:
-    theta = theta0.copy()
-    avg = np.zeros_like(theta)
-    for k in range(opts.iters):
-        eta_k = opts.eta0 * (k + 1) ** (-opts.kappa)
-        g = problem.subgradient(LogisticPolicy(theta))
-        theta = _project(theta - eta_k * g, opts.radius)
-        avg += theta
-    return avg / opts.iters
 
 
 def subgradient_fit(
@@ -196,33 +188,27 @@ def subgradient_fit(
             raise ValueError(f"warm start has shape {th.shape}, expected {shape}")
         inits.append(th)
     for j in range(1, opts.restarts):
-        rng = _restart_rng(opts.seed, j)
-        inits.append(rng.normal(0.0, opts.init_scale, size=shape))
+        inits.append(_restart_rng(opts.seed, j).normal(0.0, opts.init_scale, size=shape))
 
     per_restart = []
-    best_idx = 0
-    for j, theta0 in enumerate(inits):
-        theta_bar = _run_restart(problem, theta0, opts)
-        obj = problem.objective(LogisticPolicy(theta_bar))
-        per_restart.append((obj, theta_bar))
-        if obj < per_restart[best_idx][0]:
-            best_idx = j
+    rows = max(1, _RESTART_BLOCK // data.n)
+    for block in np.split(np.stack(inits), range(rows, len(inits), rows)):
+        try:
+            thetas = problem.descend(block, opts)
+        except (ValueError, SolverError):
+            # Run in turn, the restarts stop at the first that fails: it names the error.
+            for theta0 in block:
+                problem.objective(LogisticPolicy(problem.descend(theta0[None], opts)[0]))
+            raise
+        per_restart.extend((problem.objective(LogisticPolicy(th)), th) for th in thetas)
 
-    best_obj, best_theta = per_restart[best_idx]
-    if opts.fallback_to_baseline and best_obj > 0.0:
-        return FitResult(
-            policy=pi0,
-            objective=0.0,
-            per_restart=tuple(per_restart),
-            fell_back=True,
-            gamma=spec.gamma,
-            options=opts,
-        )
+    best_obj, best_theta = min(per_restart, key=lambda pr: pr[0])
+    fell_back = opts.fallback_to_baseline and best_obj > 0.0
     return FitResult(
-        policy=LogisticPolicy(best_theta),
-        objective=best_obj,
+        policy=pi0 if fell_back else LogisticPolicy(best_theta),
+        objective=0.0 if fell_back else best_obj,
         per_restart=tuple(per_restart),
-        fell_back=False,
+        fell_back=fell_back,
         gamma=spec.gamma,
         options=opts,
     )
@@ -298,9 +284,11 @@ def _gamma_path(data, gammas, pi0, opts, rho):
     return results, rows
 
 
-# Entries of one block of a screening sweep. Sweep rows are taken in blocks
-# of about this many (row, item) entries, so memory stays flat in n.
+# Entries of one block of a screening sweep, (row, item), or of stacked
+# restarts, (restart, unit). Rows are taken in blocks of about this many
+# entries, so memory stays flat in n and in the number of restarts.
 _SWEEP_BLOCK = 1 << 14
+_RESTART_BLOCK = 1 << 15
 
 
 class _ArmSweep:

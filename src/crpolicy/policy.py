@@ -109,11 +109,7 @@ class LogisticPolicy(Policy):
         return self.theta.shape[1] - 1
 
     def scores(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        n = X.shape[0]
-        s = np.zeros((n, self.m))
-        s[:, 1:] = self.theta[:, 0] + X @ self.theta[:, 1:].T
-        return s
+        return logistic_scores(self.theta, X)
 
     def prob_matrix(self, X: np.ndarray) -> np.ndarray:
         return softmax(self.scores(X))
@@ -127,17 +123,26 @@ class LogisticPolicy(Policy):
         return coef[:, :, None] * Z[:, None, :]
 
 
+def logistic_scores(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Scores (n, m) of a parameter block theta (m-1, d+1), or (R, n, m) of a
+    stack of R blocks (R, m-1, d+1); arm 0 is the zero-score reference."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    s = np.zeros(theta.shape[:-2] + (X.shape[0], theta.shape[-2] + 1))
+    s[..., 1:] = theta[..., None, :, 0] + X @ np.swapaxes(theta[..., 1:], -1, -2)
+    return s
+
+
 def softmax_score_grad(probs: np.ndarray, T: np.ndarray, c: np.ndarray) -> np.ndarray:
     """c_i * d pi(T_i | X_i) / d s_u for the non-reference scores u = 1..m-1, as (n, m-1).
 
     d pi_t / d s_u = pi_t (1[t=u] - pi_u); the gradient in theta is this row
     times (1, X_i), so sum_i c_i grad pi(T_i | X_i) is its transpose times
-    the design matrix.
+    the design matrix. Stacked probs (R, n, m) and c (R, n) give (R, n, m-1).
     """
-    n, m = probs.shape
-    pT = probs[np.arange(n), T]
+    m = probs.shape[-1]
+    pT = probs[..., np.arange(T.size), T]
     delta = (T[:, None] == np.arange(1, m)[None, :]).astype(float)
-    return c[:, None] * pT[:, None] * (delta - probs[:, 1:])
+    return (c * pT)[..., None] * (delta - probs[..., 1:])
 
 
 @dataclass(frozen=True)

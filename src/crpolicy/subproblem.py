@@ -13,9 +13,9 @@ The budgeted case runs Dinkelbach's ratio iteration, each step a greedy
 fractional knapsack. Two exact references check them in tests: corner
 enumeration for the box, and a Charnes-Cooper LP for the budget.
 
-All functions operate on one treatment arm at a time. The one caller that
-slices the data per arm and sums the arm values is
-`evaluation.estimators.worst_case_solution`.
+All functions operate on one treatment arm at a time; `box_rows`, the box
+core, solves many rows of contrasts at once and `solve_box` is its one-row
+view. The callers that slice the data per arm are in `evaluation.estimators`.
 """
 
 from __future__ import annotations
@@ -81,34 +81,42 @@ def threshold_values(r: np.ndarray, a: np.ndarray, b: np.ndarray):
     on (r_i, b_i - a_i) ascending.
     """
     order = np.lexsort((b - a, r))
-    rs, as_, bs = r[order], a[order], b[order]
-    pre_ar = np.concatenate([[0.0], np.cumsum(as_ * rs)])
-    pre_a = np.concatenate([[0.0], np.cumsum(as_)])
-    pre_br = np.concatenate([[0.0], np.cumsum(bs * rs)])
-    pre_b = np.concatenate([[0.0], np.cumsum(bs)])
-    tot_br, tot_b = pre_br[-1], pre_b[-1]
-    num = pre_ar + (tot_br - pre_br)
-    den = pre_a + (tot_b - pre_b)
-    return num / den, order
+    return box_rows(r[None], a, b, order[None])[0][0], order
+
+
+def box_rows(r, a, b, order):
+    """The box solve of each row of r (R, k) over one arm's validated bounds,
+    given each row's sort permutation on (r, b - a) ascending: the row's
+    lambda(j), j = 1..k+1, as `threshold_values` gives them, and its weights.
+    """
+    rows, k = r.shape
+    flat = order if rows == 1 else order + np.arange(0, r.size, k)[:, None]  # into r.ravel()
+    as_, bs = a[order], b[order]
+    rs = np.take(r, flat)
+    # Prefix sums of a r, a, b r and b, each after a zero column.
+    sums = np.zeros((4, rows, k + 1))
+    pre = sums[:, :, 1:]
+    pre[...] = as_ * rs, as_, bs * rs, bs
+    np.cumsum(pre, axis=2, out=pre)
+    # lambda = (pre_ar + (tot_br - pre_br)) / (pre_a + (tot_b - pre_b))
+    np.subtract(sums[2:, :, -1:].copy(), sums[2:], out=sums[2:])
+    sums[2:] += sums[:2]
+    lams = np.divide(sums[2], sums[3], out=sums[2])
+    np.copyto(bs, as_, where=np.arange(k) < lams.argmax(axis=1)[:, None])
+    np.put(rs, flat, bs)  # the weights, back in the order of r
+    return lams, rs
 
 
 def solve_box(r, a, b) -> SubproblemSolution:
     """Maximize sum(r W) / sum(W) over the box prod_i [a_i, b_i], exactly.
 
     O(k log k): sort once, then evaluate every threshold via prefix sums and
-    take the argmax of the unimodal candidate sequence.
+    take the argmax of the unimodal candidate sequence; `box_rows` for one row.
     """
     r, a, b = _validated(r, a, b)
-    lams, order = threshold_values(r, a, b)
-    k_star = int(np.argmax(lams))  # 0-based count of units at the lower bound
-    weights_sorted = np.concatenate([a[order][:k_star], b[order][k_star:]])
-    weights = np.empty_like(weights_sorted)
-    weights[order] = weights_sorted
-    return SubproblemSolution(
-        value=float(lams[k_star]),
-        weights=weights,
-        threshold=k_star + 1,
-    )
+    lams, weights = box_rows(r[None], a, b, np.lexsort((b - a, r))[None])
+    k_star = int(np.argmax(lams[0]))  # 0-based count of units at the lower bound
+    return SubproblemSolution(value=float(lams[0, k_star]), weights=weights[0], threshold=k_star + 1)
 
 
 _MASK_CACHE: dict = {}

@@ -285,6 +285,63 @@ class TestConfigAndErrors:
         assert rc == 2
 
 
+class TestPolicyFiles:
+    """A policy or fit-result JSON that lacks a field is refused, naming the file and the field."""
+
+    LOGISTIC = {"variant": "logistic", "m": 2, "d": 5, "payload": {"theta": [[0.1, 0.2, 0.0, 0.0, 0.0, -0.3]]}}
+    DOCS = {
+        "constant": ({"variant": "constant", "probs": [0.5, 0.5]}, "'p'"),
+        "logistic": ({"variant": "logistic"}, "'theta'"),
+        "tree": (
+            {"variant": "tree", "m": 2, "d": 5,
+             "payload": {"root": {"feature": 0, "left": {"leaf": [1.0, 0.0]}, "right": {"leaf": [0.0, 1.0]}}}},
+            "'threshold'",
+        ),
+        "fit result": ({"policy": LOGISTIC, "fell_back": False}, "'objective'"),
+    }
+
+    @staticmethod
+    def _argv(command, sim_csv, path):
+        if command == "fit":
+            return ["fit", *_data_args(sim_csv), "--gamma", "1.2", "--iters", "3", "--restarts", "1",
+                    "--baseline", "file", "--baseline-file", str(path)]
+        return ["evaluate", *_data_args(sim_csv), "--policy-file", str(path)]
+
+    @pytest.mark.parametrize("variant", sorted(DOCS))
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_missing_field(self, command, variant, sim_csv, tmp_path, capsys):
+        doc, field = self.DOCS[variant]
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(doc))
+        rc = main([*self._argv(command, sim_csv, path), "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert f"{path}: " in err and field in err
+        assert not (tmp_path / "out").exists()
+
+    def test_fit_result_as_baseline(self, sim_csv, tmp_path):
+        # Both options read a policy file alike: a fit result stands for its policy.
+        policy, result = tmp_path / "policy.json", tmp_path / "fit.json"
+        policy.write_text(json.dumps(self.LOGISTIC))
+        result.write_text(json.dumps({"policy": self.LOGISTIC, "objective": 0.0}))
+        for path in (policy, result):
+            assert main([*self._argv("fit", sim_csv, path), "--output-dir", str(tmp_path / path.stem)]) == 0
+        assert (tmp_path / "policy" / "fit.json").read_bytes() == (tmp_path / "fit" / "fit.json").read_bytes()
+
+    @pytest.mark.parametrize("given", [["--ht-probs", ","], {"ht_probs": []}, {"ht_probs": ","}])
+    def test_empty_ht_probs(self, given, sim_csv, tmp_path, capsys):
+        policy = tmp_path / "policy.json"
+        policy.write_text(policy_to_json(uniform_baseline(2)))
+        argv = [*self._argv("evaluate", sim_csv, policy), "--output-dir", str(tmp_path / "out")]
+        if isinstance(given, dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(given))
+            given = ["--config", str(cfg)]
+        assert main([*argv, *given]) == 2
+        assert "--ht-probs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestTreeOptionsRejected:
     """simulate and calibrate fit logistic policies only, so tree options are errors."""
 

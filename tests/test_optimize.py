@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,11 @@ from crpolicy import (
     uniform_baseline,
     worst_case_regret,
 )
-from crpolicy.exceptions import EmptyArmError
-from crpolicy.optimize import _TreeBuilder
+from crpolicy import optimize
+from crpolicy.evaluation.estimators import worst_case_solution
+from crpolicy.exceptions import EmptyArmError, SolverError
+from crpolicy.optimize import _TreeBuilder, _restart_rng
+from crpolicy.policy import softmax_score_grad
 
 
 def balanced_dataset(seed, n=60, d=2, m=2, y=None):
@@ -457,3 +461,171 @@ class TestScreenedSplitSearch:
         elapsed = time.perf_counter() - t0
         assert fit.policy.depth() == 2
         assert elapsed < 4.0
+
+
+def reference_subgradient_fit(data, spec, pi0, opts=FitOptions(), extra_inits=()):
+    """The sequential restart loop: each restart runs all its iterations,
+    one `worst_case_solution` per step, before the next one starts."""
+    arms = data.arms()
+    arms.require_nonempty("subgradient_fit")
+    p0_obs = pi0.observed_prob(data.X, data.T)
+    Z = np.hstack([np.ones((data.n, 1)), data.X])
+    shape = (data.m - 1, data.d + 1)
+    inits = [np.zeros(shape)]
+    for th in extra_inits:
+        th = np.asarray(th, dtype=float)
+        if th.shape != shape:
+            raise ValueError(f"warm start has shape {th.shape}, expected {shape}")
+        inits.append(th)
+    for j in range(1, opts.restarts):
+        inits.append(_restart_rng(opts.seed, j).normal(0.0, opts.init_scale, size=shape))
+
+    per_restart = []
+    best_idx = 0
+    for j, theta in enumerate(inits):
+        theta = theta.copy()
+        avg = np.zeros_like(theta)
+        for k in range(opts.iters):
+            eta_k = opts.eta0 * (k + 1) ** (-opts.kappa)
+            probs = LogisticPolicy(theta).prob_matrix(data.X)
+            r = (probs[np.arange(data.n), data.T] - p0_obs) * data.Y
+            W, _ = worst_case_solution(r, spec, arms)
+            norm = np.empty(data.n)
+            for t in range(data.m):
+                norm[arms[t]] = W[arms[t]].sum()
+            g = softmax_score_grad(probs, data.T, (W / norm) * data.Y).T @ Z
+            if not np.all(np.isfinite(g)):
+                raise SolverError("non-finite subgradient")
+            theta = theta - eta_k * g
+            if opts.radius is not None:
+                length = float(np.linalg.norm(theta))
+                if length > opts.radius:
+                    theta = theta * (opts.radius / length)
+            avg += theta
+        theta_bar = avg / opts.iters
+        obj = worst_case_regret(LogisticPolicy(theta_bar), pi0, data, spec, arms=arms)
+        per_restart.append((obj, theta_bar))
+        if obj < per_restart[best_idx][0]:
+            best_idx = j
+
+    best_obj, best_theta = per_restart[best_idx]
+    if opts.fallback_to_baseline and best_obj > 0.0:
+        return FitResult(policy=pi0, objective=0.0, per_restart=tuple(per_restart), fell_back=True,
+                         gamma=spec.gamma, options=opts)
+    return FitResult(policy=LogisticPolicy(best_theta), objective=best_obj, per_restart=tuple(per_restart),
+                     fell_back=False, gamma=spec.gamma, options=opts)
+
+
+def random_fit_case(i):
+    rng = np.random.default_rng(20_000 + i)
+    n, m, d = int(rng.integers(12, 121)), 2 + i % 2, int(rng.integers(1, 4))
+    X = rng.standard_normal((n, d))
+    T = rng.permutation(np.arange(n) % m)
+    Y = rng.standard_normal(n) + np.where(T == 1, X[:, 0], 0.0)
+    if i % 5 == 0:
+        Y = np.round(Y)  # zero and tied contrasts
+    e_hat = rng.uniform(0.2, 0.9, n) if m == 2 else rng.uniform(0.15, 0.5, n)
+    data = Dataset(X=X, T=T, Y=Y, m=m, e_hat=e_hat)
+    rho = float(rng.choice([0.1, 0.5])) if i % 3 == 0 else None
+    spec = UncertaintySpec.from_dataset(data, float(rng.choice([1.0, 1.3, 2.0])), rho=rho)
+    opts = FitOptions(
+        eta0=float(rng.choice([0.3, 1.0, 4.0])),
+        iters=int(rng.integers(1, 25)),
+        restarts=int(rng.integers(1, 7)),
+        seed=i,
+        fallback_to_baseline=i % 4 != 1,
+        radius=0.8 if i % 4 == 2 else None,
+    )
+    extra = [rng.normal(0.0, 0.5, (m - 1, d + 1)) for _ in range(i % 3)]
+    pi0 = control_baseline(m) if i % 2 else uniform_baseline(m)
+    return data, spec, pi0, opts, extra
+
+
+def fit_bytes(res):
+    """The fit's JSON and the bytes of every restart's averaged iterate."""
+    return res.to_json(), [theta.tobytes() for _, theta in res.per_restart]
+
+
+class TestStackedRestarts:
+    """Restarts stacked into one iterate give what a run of them in turn gives, to the bit."""
+
+    def test_matches_reference_on_random_data(self, monkeypatch):
+        differ = []
+        for i in range(60):
+            data, spec, pi0, opts, extra = random_fit_case(i)
+            if i % 4 == 3:
+                # Blocks of two restarts, so a fit spans several blocks.
+                monkeypatch.setattr(optimize, "_RESTART_BLOCK", 2 * data.n + 1)
+            stacked = subgradient_fit(data, spec, pi0, opts, extra_inits=extra)
+            monkeypatch.undo()
+            reference = reference_subgradient_fit(data, spec, pi0, opts, extra_inits=extra)
+            if fit_bytes(stacked) != fit_bytes(reference):
+                differ.append(i)
+        assert differ == []
+
+    def test_cases_cover_the_options(self):
+        cases = [random_fit_case(i) for i in range(60)]
+        assert {c[0].m for c in cases} == {2, 3}
+        assert {c[1].budgeted for c in cases} == {False, True}
+        assert {c[3].restarts for c in cases} == set(range(1, 7))
+        assert {len(c[4]) for c in cases} == {0, 1, 2}
+        assert {c[3].radius is None for c in cases} == {False, True}
+        assert {c[3].fallback_to_baseline for c in cases} == {False, True}
+        multi_block = [c for i, c in enumerate(cases) if i % 4 == 3 and c[3].restarts + len(c[4]) > 2]
+        assert multi_block
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    @pytest.mark.parametrize(
+        "extra, blocked",
+        [
+            ([np.array([[np.nan, 0.0, 0.0]])], False),  # a non-finite warm start
+            ([np.full((1, 3), 1e308)], False),  # scores overflow: the contrasts are not finite
+            # Restart 2 fails at the first step, restart 1 only once its
+            # contrasts are formed: run in turn, restart 1 names the error.
+            ([np.full((1, 3), 1e308), np.array([[0.0, np.inf, 0.0]])], False),
+            ([np.zeros((1, 3)), np.array([[0.0, np.inf, 0.0]])], True),  # a later block fails
+        ],
+    )
+    def test_errors_are_those_of_the_sequential_run(self, extra, blocked, monkeypatch):
+        data = balanced_dataset(8)
+        spec = UncertaintySpec.from_dataset(data, 1.5)
+        opts = FitOptions(iters=5, restarts=3, seed=2)
+        if blocked:
+            monkeypatch.setattr(optimize, "_RESTART_BLOCK", 2 * data.n)
+        with pytest.raises(Exception) as stacked:
+            subgradient_fit(data, spec, PI0, opts, extra_inits=extra)
+        with pytest.raises(Exception) as reference:
+            reference_subgradient_fit(data, spec, PI0, opts, extra_inits=extra)
+        assert (type(stacked.value), str(stacked.value)) == (type(reference.value), str(reference.value))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_subgradient(self):
+        # Every term of the subgradient sum is near the float limit and of one sign.
+        rng = np.random.default_rng(0)
+        n = 60
+        T = rng.permutation(np.arange(n) % 2)
+        data = Dataset(X=rng.uniform(1e3, 2e3, (n, 2)), T=T, Y=np.where(T == 1, 1e306, -1e306), m=2,
+                       e_hat=np.full(n, 0.5))
+        spec = UncertaintySpec.from_dataset(data, 1.5)
+        for fit in (subgradient_fit, reference_subgradient_fit):
+            with pytest.raises(SolverError, match="non-finite subgradient"):
+                fit(data, spec, PI0, FitOptions(iters=3, restarts=2))
+
+    def test_memory_is_flat_in_the_restart_count(self):
+        rng = np.random.default_rng(1)
+        n, m = 20_000, 3
+        X = rng.standard_normal((n, 5))
+        data = Dataset(X=X, T=rng.integers(0, m, n), Y=rng.standard_normal(n), m=m,
+                       e_hat=rng.uniform(0.2, 0.5, n))
+        spec = UncertaintySpec.from_dataset(data, 1.2)
+
+        def peak(restarts):
+            tracemalloc.start()
+            try:
+                subgradient_fit(data, spec, control_baseline(m), FitOptions(iters=2, restarts=restarts))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, five = peak(1), peak(5)
+        assert five <= 1.25 * one, (one, five)

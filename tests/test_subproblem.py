@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crpolicy import oracle_box, oracle_budgeted, solve_box, solve_budgeted, weight_bounds
-from crpolicy.subproblem import threshold_values
+from crpolicy.evaluation.estimators import ArmKernel
+from crpolicy.subproblem import box_rows, threshold_values
 
 
 def _random_instance(rng, k=None, gamma=None):
@@ -291,3 +292,70 @@ class TestSolveBudgeted:
         assert best <= float(np.dot(score, W)) + 1e-9 * scale
         if k == 10**5:
             assert elapsed < 2.0, f"solve_budgeted took {elapsed:.2f}s at k={k}"
+
+
+def _tied_rows(rng, rows):
+    """A block of contrast rows over one arm's bounds, with heavy ties in r
+    and in b - a (and some signed zeros in r)."""
+    k = int(rng.integers(1, 301))
+    a = 1.0 + rng.integers(0, 3, k) * 0.5
+    b = a + rng.integers(0, 3, k) * 0.25
+    r = rng.integers(-2, 3, (rows, k)) * 0.5
+    r[rows // 2 :] += rng.standard_normal((rows - rows // 2, k)) * (rng.random(k) < 0.5)
+    r[r == 0.0] *= np.where(rng.random(np.count_nonzero(r == 0.0)) < 0.5, -1.0, 1.0)
+    return r, a, b
+
+
+class TestBoxRows:
+    """The batched box core row by row equals `solve_box`, to the bit."""
+
+    def test_rows_equal_solve_box(self):
+        rng = np.random.default_rng(11)
+        checked = 0
+        while checked < 2000:
+            r, a, b = _tied_rows(rng, 25)
+            pre = np.argsort(b - a, kind="stable")
+            order = pre[np.argsort(r[:, pre], axis=1, kind="stable")]
+            lams, weights = box_rows(r, a, b, order)
+            for j in range(r.shape[0]):
+                sol = solve_box(r[j], a, b)
+                k_star = int(np.argmax(lams[j]))
+                assert weights[j].tobytes() == sol.weights.tobytes()
+                assert (float(lams[j, k_star]), k_star + 1) == (sol.value, sol.threshold)
+                single, row_order = threshold_values(r[j], a, b)
+                assert lams[j].tobytes() == single.tobytes()
+                assert np.array_equal(order[j], row_order)
+                checked += 1
+
+    def test_threshold_order_is_lexsort(self):
+        rng = np.random.default_rng(12)
+        for _ in range(80):
+            r, a, b = _tied_rows(rng, 25)
+            for row in r:
+                assert np.array_equal(threshold_values(row, a, b)[1], np.lexsort((b - a, row)))
+
+    @pytest.mark.parametrize("rho", [None, 0.4])
+    def test_kernel_shares_equal_worst_case_solution(self, rho, monkeypatch):
+        from crpolicy import Dataset, UncertaintySpec
+        from crpolicy.evaluation import estimators
+        from crpolicy.evaluation.estimators import worst_case_solution
+
+        def checked_box_rows(r, a, b, order):
+            # The kernel's batched sort is the lexicographic order on (r, b - a).
+            for row, row_order in zip(r, order):
+                assert np.array_equal(row_order, np.lexsort((b - a, row)))
+            return box_rows(r, a, b, order)
+
+        monkeypatch.setattr(estimators, "box_rows", checked_box_rows)
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            n, m = int(rng.integers(3, 200)), int(rng.integers(2, 4))
+            T = rng.permutation(np.arange(n) % m)
+            data = Dataset(X=np.zeros((n, 1)), T=T, Y=np.ones(n), m=m, e_hat=rng.uniform(0.1, 0.9, n) / m)
+            spec = UncertaintySpec.from_dataset(data, float(rng.uniform(1.0, 3.0)), rho=rho)
+            r = np.round(rng.standard_normal((7, n)), 1)
+            shares = ArmKernel(spec, data.arms()).shares(r)
+            for j in range(r.shape[0]):
+                W, _ = worst_case_solution(r[j], spec, data.arms())
+                for idx in data.arms().indices:
+                    assert (shares[j, idx]).tobytes() == (W[idx] / W[idx].sum()).tobytes()
