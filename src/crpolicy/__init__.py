@@ -14,7 +14,7 @@ from .data import (
     load_dataset,
 )
 from .uncertainty import UncertaintySpec, budget_from_fraction, weight_bounds
-from .subproblem import SubproblemSolution, oracle_box, oracle_budgeted, solve_box, solve_budgeted
+from .subproblem import SubproblemSolution, solve_box, solve_budgeted
 from .policy import (
     ConstantPolicy,
     HardenedLogisticPolicy,
@@ -62,8 +62,6 @@ __all__ = [
     "budget_from_fraction",
     "weight_bounds",
     "SubproblemSolution",
-    "oracle_box",
-    "oracle_budgeted",
     "solve_box",
     "solve_budgeted",
     "Policy",

@@ -24,6 +24,8 @@ from .data import ColumnSchema, Dataset, estimate_propensities, load_dataset
 from .exceptions import CRPolicyError
 from .optimize import FitOptions, FitResult, gamma_path_fit, subgradient_fit, tree_partition_fit
 from .policy import (
+    ConstantPolicy,
+    LogisticPolicy,
     Policy,
     control_baseline,
     policy_from_json,
@@ -298,24 +300,35 @@ def _load_with_propensities(cfg: dict) -> Dataset:
     return data
 
 
-def _baseline(cfg: dict, m: int) -> Policy:
+def _baseline(cfg: dict, data: Dataset) -> Policy:
     if cfg["baseline"] == "file":
         if not cfg["baseline_file"]:
             raise CRPolicyError("--baseline file requires --baseline-file")
-        return _read_policy(cfg["baseline_file"])
-    return control_baseline(m) if cfg["baseline"] == "control" else uniform_baseline(m)
+        return _for_data(_read_policy(cfg["baseline_file"]), data, cfg["baseline_file"])
+    return control_baseline(data.m) if cfg["baseline"] == "control" else uniform_baseline(data.m)
 
 
 def _read_policy(path: str) -> Policy:
-    """The policy of a policy or fit-result JSON file."""
+    """The policy of a policy or fit-result JSON file; a fit result's options are not read."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
-        if "policy" in doc and "variant" not in doc:
-            return FitResult.from_json(json.dumps(doc)).policy
+        if isinstance(doc, dict) and "policy" in doc and "variant" not in doc:
+            return FitResult.from_json(json.dumps({**doc, "options": None})).policy
         return policy_from_json(json.dumps(doc))
     except KeyError as exc:
         raise CRPolicyError(f"{path}: the policy JSON has no field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise CRPolicyError(f"{path}: {exc}") from None
+
+
+def _for_data(pol: Policy, data: Dataset, path: str) -> Policy:
+    """pol, once its arms and (unless constant) covariates match the data's."""
+    if pol.m != data.m:
+        raise CRPolicyError(f"{path}: the policy has {pol.m} arms, the data {data.m}")
+    if not isinstance(pol, ConstantPolicy) and pol.d != data.d:
+        raise CRPolicyError(f"{path}: the policy reads {pol.d} covariates, the data has {data.d}")
+    return pol
 
 
 def _fit_options(cfg: dict) -> FitOptions:
@@ -338,7 +351,7 @@ def _out(cfg: dict, name: str) -> str:
 def _cmd_fit(cfg: dict) -> int:
     data = _load_with_propensities(cfg)
     gammas = _gammas(cfg)
-    pi0 = _baseline(cfg, data.m)
+    pi0 = _baseline(cfg, data)
     opts = _fit_options(cfg)
     rho = cfg.get("rho")
 
@@ -373,12 +386,12 @@ def _cmd_fit(cfg: dict) -> int:
 def _cmd_evaluate(cfg: dict) -> int:
     data = _load_with_propensities(cfg)
     gammas = _gammas(cfg)
-    pi0 = _baseline(cfg, data.m)
+    pi0 = _baseline(cfg, data)
     if not cfg.get("policy_file"):
         raise CRPolicyError("evaluate requires --policy-file")
     if cfg["ht_probs"] == []:
         raise CRPolicyError("--ht-probs needs at least one value")
-    pol = _read_policy(cfg["policy_file"])
+    pol = _for_data(_read_policy(cfg["policy_file"]), data, cfg["policy_file"])
     rho = cfg.get("rho")
 
     report = {
@@ -416,23 +429,26 @@ def _simulate_one(cfg: dict, gammas: List[float], rep: int):
     # counterfactuals, mirroring the replication design.
     test = generate(params(n=cfg["test_n"], seed=_rep_seed(cfg["seed"], rep, stream=1))).data
     data = sim.data
-    pi0 = _baseline(cfg, data.m)
+    pi0 = _baseline(cfg, data)
     opts = _fit_options(cfg)
     rho = cfg.get("rho")
 
     # Naive comparator: gamma = 1 fit without fallback (assumes no confounding).
-    spec1 = UncertaintySpec.from_dataset(data, 1.0)
-    naive = subgradient_fit(data, spec1, pi0, replace(opts, fallback_to_baseline=False))
-    methods = [
-        ("ipw-logistic", [naive] * len(gammas)),
-        ("robust-logistic", gamma_path_fit(data, gammas, pi0, opts)),
-    ]
+    # A grid from gamma = 1 has made that fit first: its best restart is the one.
+    robust = gamma_path_fit(data, gammas, pi0, opts)
+    if gammas[0] == 1.0:
+        naive = LogisticPolicy(min(robust[0].per_restart, key=lambda pr: pr[0])[1])
+    else:
+        spec1 = UncertaintySpec.from_dataset(data, 1.0)
+        naive = subgradient_fit(data, spec1, pi0, replace(opts, fallback_to_baseline=False)).policy
+    methods = [("ipw-logistic", [naive] * len(gammas)), ("robust-logistic", [fit.policy for fit in robust])]
     if rho is not None:
-        methods.append((f"robust-budgeted-{rho:g}", gamma_path_fit(data, gammas, pi0, opts, rho=rho)))
+        budgeted = gamma_path_fit(data, gammas, pi0, opts, rho=rho)
+        methods.append((f"robust-budgeted-{rho:g}", [fit.policy for fit in budgeted]))
     records = [
-        {"method": method, "gamma": gamma, "rep": rep, "true_regret": true_regret(fit.policy, pi0, test)}
-        for method, fits in methods
-        for gamma, fit in zip(gammas, fits)
+        {"method": method, "gamma": gamma, "rep": rep, "true_regret": true_regret(pol, pi0, test)}
+        for method, policies in methods
+        for gamma, pol in zip(gammas, policies)
     ]
     return sim, records
 
@@ -458,7 +474,7 @@ def _cmd_simulate(cfg: dict) -> int:
 def _cmd_calibrate(cfg: dict) -> int:
     data = _load_with_propensities(cfg)
     gammas = _gammas(cfg)
-    pi0 = _baseline(cfg, data.m)
+    pi0 = _baseline(cfg, data)
     matrix = calibration_matrix(data, gammas, pi0, opts=_fit_options(cfg), rho=cfg.get("rho"))
     write_calibration_csv(_out(cfg, "calibration.csv"), matrix)
     for k, g in enumerate(matrix.gammas):

@@ -16,9 +16,8 @@ from typing import Optional
 import numpy as np
 
 from ..data import ArmIndex, Dataset
-from ..exceptions import EmptyArmError
 from ..policy import Policy
-from ..subproblem import _validated, box_rows, solve_box, solve_budgeted
+from ..subproblem import _validated_bounds, box_rows, solve_box, solve_budgeted
 from ..uncertainty import UncertaintySpec
 
 __all__ = [
@@ -42,24 +41,25 @@ def hajek_regret(pol: Policy, pi0: Policy, data: Dataset, W: np.ndarray) -> floa
     W = np.asarray(W, dtype=float).reshape(-1)
     if W.shape[0] != data.n:
         raise ValueError("weight vector length must equal n")
+    if not np.isfinite(W).all():
+        raise ValueError("weights must be finite")
     if data.n == 0 or W.min() <= 0:
         raise ValueError("weights must be positive (and the sample non-empty)")
     r = _contrast(pol, pi0, data)
     arms = data.arms()
-    total = 0.0
-    for t in range(data.m):
-        idx = arms[t]
-        if idx.size == 0:
-            raise EmptyArmError(t, "hajek_regret")
-        total += float(np.dot(r[idx], W[idx]) / W[idx].sum())
-    return total
+    arms.require_nonempty("hajek_regret")
+    return sum(float(np.dot(r[idx], W[idx]) / W[idx].sum()) for idx in arms.indices)
 
 
-def _check_spec(spec: UncertaintySpec, arms: ArmIndex, n: int) -> None:
+def _arm_parts(spec: UncertaintySpec, arms: ArmIndex, n: int, context: str) -> list:
+    """Each arm's (idx, w_tilde, a, b), once the spec is checked against the
+    n units and the arms; an empty arm raises EmptyArmError(t, context)."""
     if n != spec.n:
         raise ValueError("uncertainty spec does not match the dataset")
     if spec.budgeted and spec.lam.size != arms.m:
         raise ValueError(f"budget vector has {spec.lam.size} entries for {arms.m} arms")
+    arms.require_nonempty(context)
+    return [(idx, *spec.restrict(idx)) for idx in arms.indices]
 
 
 def worst_case_solution(r: np.ndarray, spec: UncertaintySpec, arms: ArmIndex):
@@ -69,14 +69,9 @@ def worst_case_solution(r: np.ndarray, spec: UncertaintySpec, arms: ArmIndex):
     Dinkelbach) and the arm values are summed in arm order. Returns
     (W, value). `ArmKernel` solves stacked rows of r the same way.
     """
-    _check_spec(spec, arms, r.size)
     W = np.empty(spec.n)
     total = 0.0
-    for t in range(arms.m):
-        idx = arms[t]
-        if idx.size == 0:
-            raise EmptyArmError(t, "worst_case_solution")
-        w, a, b = spec.restrict(idx)
+    for t, (idx, w, a, b) in enumerate(_arm_parts(spec, arms, r.size, "worst_case_solution")):
         if spec.budgeted:
             sol = solve_budgeted(r[idx], a, b, w, float(spec.lam[t]))
         else:
@@ -92,11 +87,11 @@ class ArmKernel:
     per spec; a budgeted spec solves each row's arms with `solve_budgeted`."""
 
     def __init__(self, spec: UncertaintySpec, arms: ArmIndex):
-        _check_spec(spec, arms, sum(idx.size for idx in arms.indices))
-        self.spec, self.parts = spec, [(idx, *spec.restrict(idx)) for idx in arms.indices]
-        for _, _, a, b in self.parts:
-            _validated(a, a, b)
-        self.pre = [np.argsort(b - a, kind="stable") for _, _, a, b in self.parts]
+        self.spec = spec
+        self.parts = _arm_parts(spec, arms, sum(idx.size for idx in arms.indices), "ArmKernel")
+        for *_, a, b in self.parts:
+            _validated_bounds(a, b)
+        self.pre = [np.argsort(b - a, kind="stable") for *_, a, b in self.parts]
 
     def shares(self, r: np.ndarray) -> np.ndarray:
         """W_i / (sum of W over unit i's arm) for each row of r (R, n), at the row's worst-case W."""

@@ -38,7 +38,7 @@ from .policy import (
 # Not called here: perfbench's tracer self-test reads this binding.
 from .subproblem import solve_box  # noqa: F401
 from .uncertainty import UncertaintySpec
-from .evaluation.estimators import ArmKernel, worst_case_regret, worst_case_solution
+from .evaluation.estimators import ArmKernel, _arm_parts, worst_case_regret, worst_case_solution
 
 __all__ = ["FitOptions", "FitResult", "subgradient_fit", "gamma_path_fit", "tree_partition_fit"]
 
@@ -376,12 +376,12 @@ class _TreeBuilder:
         self.pi0 = pi0
         self.min_leaf = int(min_leaf)
         self.arms = data.arms()
-        self.arms.require_nonempty("tree_partition_fit")
+        self.parts = _arm_parts(spec, self.arms, data.n, "tree_partition_fit")
         self.p0_obs = pi0.observed_prob(data.X, data.T)
         # arm_pos[i] = position of unit i within its arm's index set
         self.arm_pos = np.empty(data.n, dtype=np.int64)
-        for t in range(data.m):
-            self.arm_pos[self.arms[t]] = np.arange(self.arms[t].size)
+        for idx, *_ in self.parts:
+            self.arm_pos[idx] = np.arange(idx.size)
         # Width of the band of screened values re-scored exactly. The screen
         # is off by roundoff only, orders of magnitude inside it; contrasts
         # scale with Y.
@@ -415,12 +415,11 @@ class _TreeBuilder:
         r = self.contrast(self.assignment)
         in_arm = [data.T[node_idx] == t for t in range(data.m)]
         sweeps = []
-        for t in range(data.m):
+        for t, (idx, _, a, b) in enumerate(self.parts):
             members = node_idx[in_arm[t]]
             # A flipped unit leaves base_arm, so it matches T in arm t iff t != base_arm.
             r_alt = (float(t != base_arm) - self.p0_obs[members]) * data.Y[members]
-            _, a, b = self.spec.restrict(self.arms[t])
-            sweeps.append(_ArmSweep(r[self.arms[t]], a, b, self.arm_pos[members], r_alt))
+            sweeps.append(_ArmSweep(r[idx], a, b, self.arm_pos[members], r_alt))
 
         blocks = []
         for j in range(data.d):
@@ -525,10 +524,7 @@ def tree_partition_fit(
     builder = _TreeBuilder(data, spec, pi0, min_leaf)
     arm0, obj = builder.best_constant()
     builder.assignment[:] = arm0
-    if depth == 0:
-        root = builder._leaf(arm0)
-    else:
-        root, obj = builder.grow(np.arange(data.n), depth, obj)
+    root, obj = builder.grow(np.arange(data.n), depth, obj)
     policy = TreePolicy(root=root, m=data.m, d=data.d)
     objective = worst_case_regret(policy, pi0, data, spec)
     if fallback_to_baseline and objective > 0.0:

@@ -204,6 +204,18 @@ class TreePolicy(Policy):
     m: int
     d: int
 
+    def __post_init__(self):
+        nodes = [self.root]
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, TreeLeaf):
+                if node.probs.size != self.m:
+                    raise ValueError(f"tree leaf has {node.probs.size} probabilities for {self.m} arms")
+            elif not 0 <= node.feature < self.d:
+                raise ValueError(f"tree splits on feature {node.feature}, outside [0, {self.d})")
+            else:
+                nodes += [node.left, node.right]
+
     def depth(self) -> int:
         def walk(node):
             if isinstance(node, TreeLeaf):
@@ -268,6 +280,8 @@ def _node_to_obj(node):
 
 
 def _node_from_obj(obj):
+    if not isinstance(obj, dict):
+        raise ValueError(f"a tree node must be a JSON object, not {obj!r}")
     if "leaf" in obj:
         return TreeLeaf(np.array(obj["leaf"], dtype=float))
     return TreeNode(
@@ -285,30 +299,21 @@ def policy_to_json(pol: Policy) -> str:
     which json restores exactly.
     """
     if isinstance(pol, ConstantPolicy):
-        doc = {"variant": "constant", "m": pol.m, "d": pol.d, "payload": {"p": list(map(float, pol.p))}}
-    elif isinstance(pol, LogisticPolicy):
-        doc = {
-            "variant": "logistic",
-            "m": pol.m,
-            "d": pol.d,
-            "payload": {"theta": [list(map(float, row)) for row in pol.theta]},
-        }
-    elif isinstance(pol, HardenedLogisticPolicy):
-        doc = {
-            "variant": "hardened_logistic",
-            "m": pol.m,
-            "d": pol.d,
-            "payload": {"theta": [list(map(float, row)) for row in pol.theta]},
-        }
+        variant, payload = "constant", {"p": list(map(float, pol.p))}
+    elif isinstance(pol, (LogisticPolicy, HardenedLogisticPolicy)):
+        variant = "logistic" if isinstance(pol, LogisticPolicy) else "hardened_logistic"
+        payload = {"theta": [list(map(float, row)) for row in pol.theta]}
     elif isinstance(pol, TreePolicy):
-        doc = {"variant": "tree", "m": pol.m, "d": pol.d, "payload": {"root": _node_to_obj(pol.root)}}
+        variant, payload = "tree", {"root": _node_to_obj(pol.root)}
     else:
         raise UnsupportedPolicyError(f"cannot serialize {type(pol).__name__}")
-    return json.dumps(doc, sort_keys=True)
+    return json.dumps({"variant": variant, "m": pol.m, "d": pol.d, "payload": payload}, sort_keys=True)
 
 
 def policy_from_json(text: str) -> Policy:
     doc = json.loads(text)
+    if not isinstance(doc, dict) or not isinstance(doc.get("payload", {}), dict):
+        raise ValueError("a policy JSON and its payload must be JSON objects")
     variant = doc.get("variant")
     payload = doc.get("payload", {})
     if variant == "constant":

@@ -5,13 +5,14 @@ The solvers maximize the self-normalized objective
     Q(W) = sum_i r_i W_i / sum_i W_i
 
 over per-unit weight boxes a_i <= W_i <= b_i, optionally intersected with a
-mean absolute-deviation budget around the nominal weights. The box case has
-a closed-form threshold solution: sort the units by r (ties broken on
-b - a), and the optimum assigns a below some cut index and b at or above
-it, with the cut found by scanning a discrete concave unimodal sequence.
-The budgeted case runs Dinkelbach's ratio iteration, each step a greedy
-fractional knapsack. Two exact references check them in tests: corner
-enumeration for the box, and a Charnes-Cooper LP for the budget.
+mean absolute-deviation budget around the nominal weights. Each set has one
+solver. The box case has a closed-form threshold solution: sort the units
+by r (ties broken on b - a), and the optimum assigns a below some cut index
+and b at or above it, with the cut found by scanning a discrete concave
+unimodal sequence. The budgeted case runs Dinkelbach's ratio iteration,
+each step a greedy fractional knapsack. The exact references that check
+them (corner enumeration for the box, a Charnes-Cooper LP for the budget)
+live with the tests.
 
 All functions operate on one treatment arm at a time; `box_rows`, the box
 core, solves many rows of contrasts at once and `solve_box` is its one-row
@@ -26,16 +27,10 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import SolverError
-from .simplex import simplex_solve
+# Not called here: perfbench's tracer binds it, and it must be loaded for the tracer to find it.
+from .simplex import simplex_solve  # noqa: F401
 
-__all__ = [
-    "SubproblemSolution",
-    "solve_box",
-    "solve_budgeted",
-    "oracle_box",
-    "oracle_budgeted",
-    "threshold_values",
-]
+__all__ = ["SubproblemSolution", "solve_box", "solve_budgeted", "threshold_values"]
 
 
 @dataclass(frozen=True)
@@ -44,10 +39,10 @@ class SubproblemSolution:
 
     `threshold` is the 1-based cut index k* in [1, k+1] for the box set; in
     the sorted order the first k*-1 units sit at their lower bounds.
-    `multiplier` is set only by the budgeted solvers: the Lagrange multiplier
-    of the budget constraint, which for `solve_budgeted` is the marginal
-    gain |r_j - value| of the last unit the budget reaches in the greedy
-    knapsack at the optimum (0 when the budget is slack, None at lam = 0).
+    `multiplier` is set only by `solve_budgeted`: the Lagrange multiplier of
+    the budget constraint, the marginal gain |r_j - value| of the last unit
+    the budget reaches in the greedy knapsack at the optimum (0 when the
+    budget is slack, None at lam = 0).
     """
 
     value: float
@@ -64,13 +59,20 @@ def _validated(r, a, b) -> tuple:
         raise ValueError("subproblem needs at least one unit")
     if not (r.shape == a.shape == b.shape):
         raise ValueError("r, a, b must have equal length")
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    if not np.all(np.isfinite(r)):
+        raise ValueError("r, a, b must be finite")
+    return (r, *_validated_bounds(a, b))
+
+
+def _validated_bounds(a, b) -> tuple:
+    """One arm's nonempty bounds of equal length: finite, 0 < a_i <= b_i."""
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("r, a, b must be finite")
     if a.min() <= 0.0:
         raise ValueError("lower weight bounds must be strictly positive")
     if np.any(a > b):
         raise ValueError("need a_i <= b_i for every unit")
-    return r, a, b
+    return a, b
 
 
 def threshold_values(r: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -119,51 +121,6 @@ def solve_box(r, a, b) -> SubproblemSolution:
     return SubproblemSolution(value=float(lams[0, k_star]), weights=weights[0], threshold=k_star + 1)
 
 
-_MASK_CACHE: dict = {}
-
-
-def _corner_masks(k: int) -> np.ndarray:
-    masks = _MASK_CACHE.get(k)
-    if masks is None:
-        ints = np.arange(2**k, dtype=np.uint32)
-        masks = (ints[:, None] >> np.arange(k)) & 1
-        masks = masks.astype(float)
-        _MASK_CACHE[k] = masks
-    return masks
-
-
-def oracle_box(r, a, b) -> float:
-    """Brute-force reference for solve_box: enumerate all 2^k box corners.
-
-    The objective is linear-fractional, so its maximum over a box is
-    attained at a vertex. Refuses k > 20.
-    """
-    r, a, b = _validated(r, a, b)
-    k = r.size
-    if k > 20:
-        raise ValueError(f"oracle_box enumerates 2^k corners; k={k} is too large (max 20)")
-    best = -np.inf
-    chunk = 1 << min(k, 14)
-    masks_full = _corner_masks(min(k, 14))
-    for start in range(0, 2**k, chunk):
-        if k <= 14:
-            masks = masks_full
-        else:
-            ints = np.arange(start, start + chunk, dtype=np.uint32)
-            masks = ((ints[:, None] >> np.arange(k)) & 1).astype(float)
-        W = a + masks * (b - a)
-        vals = (W @ r) / W.sum(axis=1)
-        best = max(best, float(vals.max()))
-        if k <= 14:
-            break
-    return best
-
-
-def _nominal_solution(r, w_tilde) -> SubproblemSolution:
-    value = float(np.dot(r, w_tilde) / w_tilde.sum())
-    return SubproblemSolution(value=value, weights=w_tilde.copy())
-
-
 def _validated_budget(r, a, b, w_tilde, lam) -> tuple:
     r, a, b = _validated(r, a, b)
     w_tilde = np.asarray(w_tilde, dtype=float).reshape(-1)
@@ -194,7 +151,7 @@ def solve_budgeted(r, a, b, w_tilde, lam: float) -> SubproblemSolution:
     """
     r, a, b, w_tilde = _validated_budget(r, a, b, w_tilde, lam)
     if lam == 0.0:
-        return _nominal_solution(r, w_tilde)
+        return SubproblemSolution(value=float(np.dot(r, w_tilde) / w_tilde.sum()), weights=w_tilde.copy())
     total = lam * r.size
     # A slack budget cannot bind: fall back to the plain box solution.
     box = solve_box(r, a, b)
@@ -233,53 +190,3 @@ def _fractional_knapsack(score, a, b, w_tilde, total) -> tuple:
         return weights, 0.0
     last = np.flatnonzero(move_sorted > 0.0)[-1]
     return weights, float(gain[order[last]])
-
-
-def oracle_budgeted(r, a, b, w_tilde, lam: float) -> SubproblemSolution:
-    """LP reference for solve_budgeted: the Charnes-Cooper linearization
-    (w = psi W, psi = 1 / sum W) solved by the dense simplex in `simplex.py`.
-
-    Variables (w_1..w_k, d_1..d_k, psi), all >= 0:
-
-        max  r' w
-        s.t. sum w = 1
-             a_i psi - w_i <= 0,   w_i - b_i psi <= 0
-             w_i - W~_i psi - d_i <= 0,   W~_i psi - w_i - d_i <= 0
-             sum d - lam k psi <= 0
-
-    The tableau is dense in k, so this refuses k > 200.
-    """
-    r, a, b, w_tilde = _validated_budget(r, a, b, w_tilde, lam)
-    k = r.size
-    if k > 200:
-        raise ValueError(f"oracle_budgeted builds a dense simplex tableau; k={k} is too large (max 200)")
-    nvar = 2 * k + 1
-    c = np.zeros(nvar)
-    c[:k] = -r  # simplex minimizes
-    rows = 4 * k + 1
-    A_ub = np.zeros((rows, nvar))
-    b_ub = np.zeros(rows)
-    eye = np.eye(k)
-    A_ub[0:k, :k] = -eye
-    A_ub[0:k, -1] = a
-    A_ub[k : 2 * k, :k] = eye
-    A_ub[k : 2 * k, -1] = -b
-    A_ub[2 * k : 3 * k, :k] = eye
-    A_ub[2 * k : 3 * k, k : 2 * k] = -eye
-    A_ub[2 * k : 3 * k, -1] = -w_tilde
-    A_ub[3 * k : 4 * k, :k] = -eye
-    A_ub[3 * k : 4 * k, k : 2 * k] = -eye
-    A_ub[3 * k : 4 * k, -1] = w_tilde
-    A_ub[4 * k, k : 2 * k] = 1.0
-    A_ub[4 * k, -1] = -lam * k
-    A_eq = np.zeros((1, nvar))
-    A_eq[0, :k] = 1.0
-    res = simplex_solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.ones(1))
-    psi = res.x[-1]
-    if psi <= 0.0:
-        raise SolverError(f"degenerate Charnes-Cooper scale psi={psi:.3e}")
-    weights = np.clip(res.x[:k] / psi, a, b)
-    value = float(np.dot(r, weights) / weights.sum())
-    # The min-form dual of the budget row is <= 0; the reported multiplier is its negation.
-    eta = float(max(0.0, -res.dual_ub[4 * k]))
-    return SubproblemSolution(value=value, weights=weights, multiplier=eta)

@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from .data import ArmIndex, Dataset
-from .exceptions import EmptyArmError
 
 __all__ = ["UncertaintySpec", "weight_bounds", "budget_from_fraction"]
 
@@ -109,10 +108,5 @@ def budget_from_fraction(spec: UncertaintySpec, arms: ArmIndex, rho: float) -> n
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     max_dev = np.maximum(spec.w_tilde - spec.a, spec.b - spec.w_tilde)
-    lam = np.empty(arms.m)
-    for t in range(arms.m):
-        idx = arms[t]
-        if idx.size == 0:
-            raise EmptyArmError(t, "cannot compute budget over an empty arm")
-        lam[t] = rho * float(max_dev[idx].mean())
-    return lam
+    arms.require_nonempty("cannot compute budget over an empty arm")
+    return np.array([rho * float(max_dev[idx].mean()) for idx in arms.indices])

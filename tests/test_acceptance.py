@@ -21,8 +21,6 @@ from crpolicy import (
     calibration_matrix,
     control_baseline,
     gamma_path_fit,
-    oracle_box,
-    oracle_budgeted,
     policy_gradient,
     policy_probability,
     simulate_binary,
@@ -36,6 +34,7 @@ from crpolicy import (
 )
 from crpolicy.cli import main as cli_main
 from crpolicy.subproblem import threshold_values
+from oracles import oracle_box, oracle_budgeted
 
 PI0 = control_baseline(2)
 

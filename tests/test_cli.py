@@ -6,7 +6,17 @@ import os
 import numpy as np
 import pytest
 
-from crpolicy import ColumnSchema, SimParamsBinary, load_dataset, simulate_binary
+from crpolicy import (
+    ColumnSchema,
+    FitOptions,
+    SimParamsBinary,
+    UncertaintySpec,
+    control_baseline,
+    load_dataset,
+    simulate_binary,
+    true_regret,
+)
+from crpolicy import cli
 from crpolicy.cli import _build_parser, _options, main
 from crpolicy.evaluation.reports import write_dataset_csv
 from crpolicy.policy import policy_to_json, uniform_baseline
@@ -170,6 +180,25 @@ class TestSimulate:
         objs = [float(r["objective"]) for r in rows]
         assert len(objs) == 2 and all(o <= 0 for o in objs)
         assert objs[1] >= objs[0] - 1e-12
+
+    @pytest.mark.parametrize("grid, direct_fits", [("1.0,1.5", 0), ("1.2,1.5", 1)])
+    def test_naive_comparator(self, grid, direct_fits, tmp_path, monkeypatch):
+        # ipw-logistic is the gamma = 1 fit without fallback. A grid from gamma = 1
+        # has made that fit already, so it is taken from there, not fitted again.
+        calls, fit = [], cli.subgradient_fit
+        monkeypatch.setattr(cli, "subgradient_fit", lambda *args: calls.append(1) or fit(*args))
+        out = tmp_path / "o"
+        argv = ["simulate", "--reps", "1", "--seed", "7", "--n", "60", "--test-n", "300",
+                "--gamma", grid, "--iters", "30", "--restarts", "3", "--output-dir", str(out)]
+        assert main(argv) == 0
+        assert len(calls) == direct_fits
+        sim = simulate_binary(SimParamsBinary(n=60, seed=cli._rep_seed(7, 0)))
+        test = simulate_binary(SimParamsBinary(n=300, seed=cli._rep_seed(7, 0, stream=1))).data
+        spec = UncertaintySpec.from_dataset(sim.data, 1.0)
+        opts = FitOptions(iters=30, restarts=3, seed=7, fallback_to_baseline=False)
+        naive = fit(sim.data, spec, control_baseline(2), opts).policy
+        rows = [r for r in csv.DictReader(open(out / "regret_curves.csv")) if r["method"] == "ipw-logistic"]
+        assert [float(r["true_regret"]) for r in rows] == [true_regret(naive, control_baseline(2), test)] * 2
 
     def test_workers_flag_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -340,6 +369,90 @@ class TestPolicyFiles:
         assert main([*argv, *given]) == 2
         assert "--ht-probs" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def _tree_doc(root, m=2, d=5):
+    return {"variant": "tree", "m": m, "d": d, "payload": {"root": root}}
+
+
+class TestPolicyFitsData:
+    """A policy file whose arms or covariates differ from the data's is refused, naming
+    the file and the mismatch; sim_csv has 2 arms and 5 covariates."""
+
+    SPLIT = {"feature": 0, "threshold": 0.0, "left": {"leaf": [1.0, 0.0]}, "right": {"leaf": [0.0, 1.0]}}
+    DOCS = {
+        "constant 3 arms": ({"variant": "constant", "m": 3, "payload": {"p": [0.2, 0.3, 0.5]}}, "3 arms"),
+        "constant 1 arm": ({"variant": "constant", "m": 1, "payload": {"p": [1.0]}}, "1 arms"),
+        "logistic 2 covariates": (
+            {"variant": "logistic", "m": 2, "d": 2, "payload": {"theta": [[0.1, 0.2, -0.3]]}},
+            "reads 2 covariates",
+        ),
+        "tree short leaf": (_tree_doc({"leaf": [1.0]}), "tree leaf has 1 probabilities for 2 arms"),
+        "tree feature -1": (_tree_doc({**SPLIT, "feature": -1}), "feature -1, outside [0, 5)"),
+        "tree feature 9": (_tree_doc({**SPLIT, "feature": 9}), "feature 9, outside [0, 5)"),
+        "tree 2 covariates": (_tree_doc(SPLIT, d=2), "reads 2 covariates"),
+        "tree 3 arms": (_tree_doc({"leaf": [0.2, 0.3, 0.5]}, m=3), "3 arms"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DOCS))
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_mismatch_refused(self, command, case, sim_csv, tmp_path, capsys):
+        doc, mismatch = self.DOCS[case]
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(doc))
+        rc = main([*TestPolicyFiles._argv(command, sim_csv, path), "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert f"{path}: " in err and mismatch in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_matching_tree_accepted(self, command, sim_csv, tmp_path):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(_tree_doc(self.SPLIT)))
+        assert main([*TestPolicyFiles._argv(command, sim_csv, path), "--output-dir", str(tmp_path / "out")]) == 0
+
+
+class TestPolicyShape:
+    """A policy file of the wrong JSON shape exits 2 naming the file; a fit result's
+    options are not read, so neither their keys nor their values matter."""
+
+    LOGISTIC = TestPolicyFiles.LOGISTIC
+    BAD = {
+        "list document": ([1, 2], "must be JSON objects"),
+        "list payload": ({"variant": "constant", "payload": [0.5, 0.5]}, "must be JSON objects"),
+        "list policy of a fit result": ({"policy": [1, 2], "objective": 0.0}, "must be JSON objects"),
+        "list tree node": (
+            {"variant": "tree", "m": 2, "d": 5,
+             "payload": {"root": {"feature": 0, "threshold": 0.0, "left": [1.0, 0.0], "right": {"leaf": [0.0, 1.0]}}}},
+            "a tree node must be a JSON object",
+        ),
+        "text theta": ({"variant": "logistic", "payload": {"theta": "abc"}}, "abc"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_wrong_shape_refused(self, command, case, sim_csv, tmp_path, capsys):
+        doc, message = self.BAD[case]
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(doc))
+        rc = main([*TestPolicyFiles._argv(command, sim_csv, path), "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert f"{path}: " in err and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("options", [{"eta0": 1.0, "extra": 3}, {"eta0": -1.0}, [1, 2]])
+    def test_fit_result_options_not_read(self, options, sim_csv, tmp_path):
+        policy, result = tmp_path / "policy.json", tmp_path / "fit.json"
+        policy.write_text(json.dumps(self.LOGISTIC))
+        result.write_text(json.dumps({"policy": self.LOGISTIC, "objective": 0.0, "options": options}))
+        for path in (policy, result):
+            argv = TestPolicyFiles._argv("evaluate", sim_csv, path)
+            assert main([*argv, "--output-dir", str(tmp_path / path.stem)]) == 0
+        assert (tmp_path / "policy" / "evaluation.json").read_bytes() == (
+            tmp_path / "fit" / "evaluation.json"
+        ).read_bytes()
 
 
 class TestTreeOptionsRejected:

@@ -16,17 +16,19 @@ from crpolicy import (
     ht_test_regret,
     ipw_value,
     odds_ratio_audit,
-    oracle_box,
     simulate_binary,
     simulate_multi,
     subgradient_fit,
+    tree_partition_fit,
     true_regret,
     uniform_baseline,
     weight_bounds,
     worst_case_regret,
     worst_case_weights,
 )
+from crpolicy.evaluation.estimators import ArmKernel, worst_case_solution
 from crpolicy.exceptions import EmptyArmError
+from oracles import oracle_box
 
 
 def _sigmoid(z):
@@ -82,6 +84,46 @@ class TestHajek:
         data = Dataset(X=np.zeros((2, 1)), T=[0, 0], Y=[1.0, 2.0], m=2)
         with pytest.raises(EmptyArmError):
             hajek_regret(TREAT_ALL, NEVER_TREAT, data, np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights(self, bad):
+        W = np.array([1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            hajek_regret(TREAT_ALL, NEVER_TREAT, two_row_data(), W)
+
+
+class TestArmSetup:
+    """Each per-arm caller checks the spec against the arms alike and names itself on an empty arm."""
+
+    def _data(self, T):
+        return Dataset(X=np.zeros((len(T), 1)), T=T, Y=np.arange(len(T), dtype=float), m=2, e_hat=np.full(len(T), 0.5))
+
+    def test_empty_arm_names_the_caller(self):
+        data = self._data([0, 0, 0])
+        spec = UncertaintySpec.from_dataset(data, 1.5)
+        r = np.ones(3)
+        with pytest.raises(EmptyArmError, match=r"arm 1 has no observations \(worst_case_solution\)"):
+            worst_case_solution(r, spec, data.arms())
+        with pytest.raises(EmptyArmError, match=r"arm 1 has no observations \(ArmKernel\)"):
+            ArmKernel(spec, data.arms())
+        with pytest.raises(EmptyArmError, match=r"arm 1 has no observations \(tree_partition_fit\)"):
+            tree_partition_fit(data, spec, NEVER_TREAT, depth=1)
+
+    def test_spec_checks(self):
+        data = self._data([0, 1, 0, 1])
+        other = UncertaintySpec.from_propensities(np.full(6, 0.5), 1.5)
+        budget = UncertaintySpec.from_dataset(data, 1.5).with_budget(np.ones(3))
+        for spec, message in ((other, "does not match the dataset"), (budget, "budget vector has 3 entries")):
+            with pytest.raises(ValueError, match=message):
+                worst_case_solution(np.ones(4), spec, data.arms())
+            with pytest.raises(ValueError, match=message):
+                ArmKernel(spec, data.arms())
+
+    def test_kernel_validates_bounds(self):
+        data = self._data([0, 1])
+        spec = UncertaintySpec(gamma=1.0, w_tilde=np.ones(2), a=np.array([1.0, 2.0]), b=np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="need a_i <= b_i"):
+            ArmKernel(spec, data.arms())
 
 
 class TestWorstCase:

@@ -168,6 +168,32 @@ class TestSerialization:
             policy_from_json('{"variant": "mystery", "m": 2, "d": 1, "payload": {}}')
 
 
+class TestTreeShape:
+    """A tree refuses, when built, leaves of another length than m and splits outside [0, d)."""
+
+    def _split(self, feature):
+        return TreeNode(feature, 0.0, TreeLeaf(np.array([1.0, 0.0])), TreeLeaf(np.array([0.0, 1.0])))
+
+    def test_leaf_of_wrong_length(self):
+        with pytest.raises(ValueError, match="tree leaf has 1 probabilities for 2 arms"):
+            TreePolicy(root=TreeNode(0, 0.0, TreeLeaf(np.array([1.0])), TreeLeaf(np.array([0.0, 1.0]))), m=2, d=1)
+        with pytest.raises(ValueError, match="tree leaf has 2 probabilities for 3 arms"):
+            TreePolicy(root=TreeLeaf(np.array([0.0, 1.0])), m=3, d=1)
+
+    @pytest.mark.parametrize("feature", [-1, 3, 9])
+    def test_feature_out_of_range(self, feature):
+        with pytest.raises(ValueError, match=f"feature {feature}, outside \\[0, 3\\)"):
+            TreePolicy(root=TreeNode(0, 1.0, self._split(feature), TreeLeaf(np.array([0.5, 0.5]))), m=2, d=3)
+
+    def test_json_of_wrong_shape(self):
+        for text in ("[1, 2]", '{"variant": "constant", "payload": [0.5, 0.5]}'):
+            with pytest.raises(ValueError, match="must be JSON objects"):
+                policy_from_json(text)
+        doc = {"variant": "tree", "m": 2, "d": 1, "payload": {"root": [0.5, 0.5]}}
+        with pytest.raises(ValueError, match="a tree node must be a JSON object"):
+            policy_from_json(json.dumps(doc))
+
+
 class TestHarden:
     def test_argmax_behavior(self):
         pol = LogisticPolicy(np.array([[0.0, 2.0]]))  # treat iff 2x > 0

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crpolicy import oracle_box, oracle_budgeted, solve_box, solve_budgeted, weight_bounds
+from crpolicy import solve_box, solve_budgeted, weight_bounds
 from crpolicy.evaluation.estimators import ArmKernel
 from crpolicy.subproblem import box_rows, threshold_values
+from oracles import oracle_box, oracle_budgeted
 
 
 def _random_instance(rng, k=None, gamma=None):
