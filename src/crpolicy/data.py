@@ -7,6 +7,7 @@ integers 0..m-1; remapping arbitrary labels is the caller's job.
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -32,11 +33,29 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction; safe for scores up to +-700."""
-    s = scores - scores.max(axis=-1, keepdims=True)
+    """Softmax over the last axis, less each row's largest score first.
+
+    Every shifted score is at most 0 and the largest is 0, so exp cannot
+    overflow and the normalizer is at least 1: safe for any finite scores.
+    numpy's reduce over a short last axis pays a per-row overhead, so the
+    row max and, for fewer than 8 arms, the normalizer are taken column by
+    column. A max is exact in any order; numpy's pairwise sum adds fewer
+    than 8 terms left to right, as the columns are added here, and sums 8 or
+    more in another order, so there the normalizer is numpy's own sum.
+    """
+    s = scores - _by_columns(np.maximum, scores)[..., None]
     np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
+    s /= (_by_columns(np.add, s) if s.shape[-1] < 8 else s.sum(axis=-1))[..., None]
     return s
+
+
+def _by_columns(ufunc, x: np.ndarray) -> np.ndarray:
+    """ufunc folded over the last axis of x from the left, a column at a time."""
+    cols = np.moveaxis(x, -1, 0)
+    out = np.array(cols[0])
+    for col in cols[1:]:
+        ufunc(out, col, out=out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -171,12 +190,74 @@ def _parse_cell(raw: str, column: str, row: int) -> float:
     return value
 
 
+# Data rows read and converted at a time: memory stays bounded in the
+# length of the file while each column converts at C speed.
+_CHUNK_ROWS = 2048
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where the wanted columns sit in the file's rows: `names[j]` is read
+    from cell `pos[j]`, and the treatment is the one at `t_at`."""
+
+    path: str
+    width: int
+    names: list
+    pos: list
+    t_at: int
+
+    def parse_cells(self, rows, first: int) -> tuple:
+        """Rows numbered from `first`, parsed cell by cell: each kept row's
+        values and its label, skipping blank rows and raising at the first
+        bad cell in file order."""
+        values, labels = [], []
+        cells = list(zip(self.names, self.pos))
+        for row_num, row in enumerate(rows, start=first):
+            if not row or all(cell.strip() == "" for cell in row):
+                continue
+            if len(row) != self.width:
+                raise DatasetError(
+                    f"{self.path}: data row {row_num} has {len(row)} cells, expected {self.width}"
+                )
+            vals = [_parse_cell(row[j], name, row_num) for name, j in cells[: self.t_at + 1]]
+            t_val = vals[-1]
+            if t_val != int(t_val) or t_val < 0:
+                raise DatasetError(
+                    f"{self.path}: treatment value {t_val!r} at data row {row_num} "
+                    "is not a non-negative integer"
+                )
+            vals += [_parse_cell(row[j], name, row_num) for name, j in cells[self.t_at + 1 :]]
+            values.append(vals)
+            labels.append(int(t_val))
+        return values, labels
+
+    def parse_chunk(self, rows, first: int) -> tuple:
+        """The wanted columns of rows numbered from `first`, as (columns,
+        kept rows) floats, and their labels. The cells convert column by
+        column and are checked at once; a chunk that fails a check, or holds
+        a blank row, is parsed by `parse_cells`, which raises the error or
+        skips the rows as it does for any file."""
+        try:
+            if all(map(self.width.__eq__, map(len, rows))):
+                cols = list(zip(*rows))
+                vals = np.array([np.fromiter(map(float, cols[j]), float, len(rows)) for j in self.pos])
+                t = vals[self.t_at]
+                # Labels past int64 are left to `parse_cells`, as large as Python makes them.
+                if np.isfinite(vals).all() and ((t >= 0) & (t == np.floor(t)) & (t < 2.0**63)).all():
+                    return vals, t.astype(np.int64)
+        except ValueError:
+            pass
+        values, labels = self.parse_cells(rows, first)
+        return np.array(values, dtype=float).reshape(-1, len(self.pos)).T, labels
+
+
 def load_dataset(path, schema: ColumnSchema) -> Dataset:
     """Read a UTF-8 CSV with a header row into a Dataset.
 
     The number of arms is inferred as 1 + max(T) (at least 2). A treatment
     label in {0, ..., m-1} that never occurs in the file triggers a
     DatasetWarning rather than an error; fitting on that arm later fails.
+    Rows are read in chunks of `_CHUNK_ROWS`.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -195,34 +276,17 @@ def load_dataset(path, schema: ColumnSchema) -> Dataset:
         for name in wanted:
             if name not in col_pos:
                 raise DatasetError(f"{path}: column '{name}' not found in header {header}")
+        d = len(schema.covariates)
+        layout = _Layout(path, len(header), wanted, [col_pos[name] for name in wanted], d)
 
-        rows_X, rows_T, rows_Y, rows_e, rows_p = [], [], [], [], []
-        for row_num, row in enumerate(reader, start=1):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            if len(row) != len(header):
-                raise DatasetError(
-                    f"{path}: data row {row_num} has {len(row)} cells, expected {len(header)}"
-                )
-            rows_X.append([_parse_cell(row[col_pos[c]], c, row_num) for c in schema.covariates])
-            t_val = _parse_cell(row[col_pos[schema.treatment]], schema.treatment, row_num)
-            if t_val != int(t_val) or t_val < 0:
-                raise DatasetError(
-                    f"{path}: treatment value {t_val!r} at data row {row_num} "
-                    "is not a non-negative integer"
-                )
-            rows_T.append(int(t_val))
-            rows_Y.append(_parse_cell(row[col_pos[schema.outcome]], schema.outcome, row_num))
-            if schema.propensity:
-                rows_e.append(_parse_cell(row[col_pos[schema.propensity]], schema.propensity, row_num))
-            if schema.potential_outcomes:
-                rows_p.append(
-                    [_parse_cell(row[col_pos[c]], c, row_num) for c in schema.potential_outcomes]
-                )
+        chunks, first = [], 1
+        while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
+            chunks.append(layout.parse_chunk(rows, first))
+            first += len(rows)
 
-    n = len(rows_T)
-    d = len(schema.covariates)
-    T = np.array(rows_T, dtype=np.int64)
+    vals = np.concatenate([np.empty((len(wanted), 0))] + [v for v, _ in chunks], axis=1)
+    T = np.concatenate([np.empty(0, np.int64)] + [np.array(labels, dtype=np.int64) for _, labels in chunks])
+    n = T.shape[0]
     m = max(2, int(T.max()) + 1) if n else 2
     if schema.potential_outcomes and len(schema.potential_outcomes) != m:
         raise DatasetError(
@@ -239,13 +303,14 @@ def load_dataset(path, schema: ColumnSchema) -> Dataset:
                 DatasetWarning,
                 stacklevel=2,
             )
+    pot_at = d + 2 + bool(schema.propensity)
     return Dataset(
-        X=np.array(rows_X, dtype=float).reshape(n, d),
+        X=vals[:d].T,
         T=T,
-        Y=np.array(rows_Y, dtype=float),
+        Y=vals[d + 1],
         m=m,
-        e_hat=np.array(rows_e, dtype=float) if schema.propensity else None,
-        potential_Y=np.array(rows_p, dtype=float).reshape(n, m) if schema.potential_outcomes else None,
+        e_hat=vals[d + 2] if schema.propensity else None,
+        potential_Y=vals[pot_at:].T if schema.potential_outcomes else None,
     )
 
 

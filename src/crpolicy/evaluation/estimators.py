@@ -17,7 +17,7 @@ import numpy as np
 
 from ..data import ArmIndex, Dataset
 from ..policy import Policy
-from ..subproblem import _validated_bounds, box_rows, solve_box, solve_budgeted
+from ..subproblem import _validated_bounds, box_order, box_rows, solve_box, solve_budgeted
 from ..uncertainty import UncertaintySpec
 
 __all__ = [
@@ -83,8 +83,12 @@ def worst_case_solution(r: np.ndarray, spec: UncertaintySpec, arms: ArmIndex):
 
 class ArmKernel:
     """The weights `worst_case_solution` gives each row of stacked contrasts,
-    bit for bit. Box bounds are validated and pre-sorted for `box_rows` once
-    per spec; a budgeted spec solves each row's arms with `solve_budgeted`."""
+    bit for bit. Box bounds are validated once per spec, and each arm keeps
+    its stable order by b - a for `subproblem.box_order`, which sorts each
+    row on (r, b - a, index) as `solve_box` does. An arm whose contrasts
+    tied on the previous call is sorted stably at once, so contrasts that
+    tie at every step (binary outcomes) are not sorted twice. A budgeted
+    spec solves each row's arms with `solve_budgeted`."""
 
     def __init__(self, spec: UncertaintySpec, arms: ArmIndex):
         self.spec = spec
@@ -92,6 +96,7 @@ class ArmKernel:
         for *_, a, b in self.parts:
             _validated_bounds(a, b)
         self.pre = [np.argsort(b - a, kind="stable") for *_, a, b in self.parts]
+        self.tied = [False] * len(self.parts)
 
     def shares(self, r: np.ndarray) -> np.ndarray:
         """W_i / (sum of W over unit i's arm) for each row of r (R, n), at the row's worst-case W."""
@@ -99,12 +104,12 @@ class ArmKernel:
             raise ValueError("r, a, b must be finite")
         out = np.empty_like(r)
         for t, (idx, w, a, b) in enumerate(self.parts):
-            rt, pre = r.take(idx, axis=1), self.pre[t]  # C order: r[:, idx] is column-major
+            rt = r.take(idx, axis=1)  # C order: r[:, idx] is column-major
             if self.spec.budgeted:
                 W = np.array([solve_budgeted(row, a, b, w, float(self.spec.lam[t])).weights for row in rt])
             else:
-                # A stable sort of each row in the pre-order by b - a sorts on (r, b - a).
-                W = box_rows(rt, a, b, pre[np.argsort(rt[:, pre], axis=1, kind="stable")])[1]
+                order, self.tied[t] = box_order(rt, a, b, self.pre[t], self.tied[t])
+                W = box_rows(rt, a, b, order)[1]
             # W is in C order, so each row sums as the 1-D W[idx] of one row does.
             out[:, idx] = W / W.sum(axis=1)[:, None]
         return out

@@ -17,7 +17,7 @@ the choice is the one an exact scan makes.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,6 +31,7 @@ from .policy import (
     TreeNode,
     TreePolicy,
     logistic_scores,
+    one_hot_arms,
     policy_from_json,
     policy_to_json,
     softmax_score_grad,
@@ -108,6 +109,12 @@ class FitResult:
     def from_json(cls, text: str) -> "FitResult":
         doc = json.loads(text)
         opts = doc.get("options")
+        if opts is not None:
+            if not isinstance(opts, dict):
+                raise ValueError(f"a fit result's options must be a JSON object, not {opts!r}")
+            unknown = sorted(set(opts) - {f.name for f in fields(FitOptions)})
+            if unknown:
+                raise ValueError(f"a fit result's options have unknown keys {', '.join(map(repr, unknown))}")
         return cls(
             policy=policy_from_json(json.dumps(doc["policy"])),
             objective=float(doc["objective"]),
@@ -134,6 +141,8 @@ class _SubgradientProblem:
         self.p0_obs = pi0.observed_prob(data.X, data.T)
         self.Z = np.hstack([np.ones((data.n, 1)), data.X])
         self.shape = (data.m - 1, data.d + 1)
+        self.at_T = np.arange(data.n) * data.m + data.T  # (i, T_i) in a flattened (n, m) block
+        self.delta = one_hot_arms(data.T, data.m)
 
     def descend(self, theta: np.ndarray, opts: FitOptions) -> np.ndarray:
         """The averaged iterates of the runs from each row of theta (R, m-1, d+1). A step
@@ -145,8 +154,9 @@ class _SubgradientProblem:
             if not np.isfinite(theta).all():
                 raise ValueError("theta must be finite")
             probs = softmax(logistic_scores(theta, data.X))
-            c = kernel.shares((probs[:, np.arange(data.n), data.T] - self.p0_obs) * data.Y) * data.Y
-            g = np.swapaxes(softmax_score_grad(probs, data.T, c), 1, 2) @ self.Z
+            pT = probs.reshape(len(theta), -1).take(self.at_T, axis=1)
+            c = kernel.shares((pT - self.p0_obs) * data.Y) * data.Y
+            g = np.swapaxes(softmax_score_grad(probs, data.T, c, pT, self.delta), 1, 2) @ self.Z
             if not np.isfinite(g).all():
                 raise SolverError("non-finite subgradient")
             g *= opts.eta0 * (k + 1) ** (-opts.kappa)

@@ -128,21 +128,31 @@ def logistic_scores(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     stack of R blocks (R, m-1, d+1); arm 0 is the zero-score reference."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     s = np.zeros(theta.shape[:-2] + (X.shape[0], theta.shape[-2] + 1))
-    s[..., 1:] = theta[..., None, :, 0] + X @ np.swapaxes(theta[..., 1:], -1, -2)
+    np.add(theta[..., None, :, 0], X @ np.swapaxes(theta[..., 1:], -1, -2), out=s[..., 1:])
     return s
 
 
-def softmax_score_grad(probs: np.ndarray, T: np.ndarray, c: np.ndarray) -> np.ndarray:
+def softmax_score_grad(
+    probs: np.ndarray, T: np.ndarray, c: np.ndarray, pT: np.ndarray = None, delta: np.ndarray = None
+) -> np.ndarray:
     """c_i * d pi(T_i | X_i) / d s_u for the non-reference scores u = 1..m-1, as (n, m-1).
 
     d pi_t / d s_u = pi_t (1[t=u] - pi_u); the gradient in theta is this row
     times (1, X_i), so sum_i c_i grad pi(T_i | X_i) is its transpose times
     the design matrix. Stacked probs (R, n, m) and c (R, n) give (R, n, m-1).
+    A caller that steps many times passes in what it already has: pT, the
+    probs gathered at each T_i, and delta, `one_hot_arms(T, m)`.
     """
-    m = probs.shape[-1]
-    pT = probs[..., np.arange(T.size), T]
-    delta = (T[:, None] == np.arange(1, m)[None, :]).astype(float)
+    if pT is None:
+        pT = probs[..., np.arange(T.size), T]
+    if delta is None:
+        delta = one_hot_arms(T, probs.shape[-1])
     return (c * pT)[..., None] * (delta - probs[..., 1:])
+
+
+def one_hot_arms(T: np.ndarray, m: int) -> np.ndarray:
+    """1[T_i = u] for the non-reference arms u = 1..m-1, as (n, m-1) floats."""
+    return (T[:, None] == np.arange(1, m)[None, :]).astype(float)
 
 
 @dataclass(frozen=True)
@@ -317,11 +327,19 @@ def policy_from_json(text: str) -> Policy:
     variant = doc.get("variant")
     payload = doc.get("payload", {})
     if variant == "constant":
-        return ConstantPolicy(np.array(payload["p"], dtype=float), d=int(doc.get("d", 0)))
-    if variant == "logistic":
-        return LogisticPolicy(np.array(payload["theta"], dtype=float))
-    if variant == "hardened_logistic":
-        return HardenedLogisticPolicy(np.array(payload["theta"], dtype=float))
-    if variant == "tree":
+        pol = ConstantPolicy(np.array(payload["p"], dtype=float), d=int(doc.get("d", 0)))
+    elif variant == "logistic":
+        pol = LogisticPolicy(np.array(payload["theta"], dtype=float))
+    elif variant == "hardened_logistic":
+        pol = HardenedLogisticPolicy(np.array(payload["theta"], dtype=float))
+    elif variant == "tree":
         return TreePolicy(root=_node_from_obj(payload["root"]), m=int(doc["m"]), d=int(doc["d"]))
-    raise UnsupportedPolicyError(f"unknown policy variant {variant!r}")
+    else:
+        raise UnsupportedPolicyError(f"unknown policy variant {variant!r}")
+    # The payload sets m and d; a document that also states them must agree.
+    for key, value in (("m", pol.m), ("d", pol.d)):
+        if key in doc and doc[key] != value:
+            raise ValueError(
+                f"the {variant} policy document says {key} = {doc[key]!r}, its payload gives {value}"
+            )
+    return pol

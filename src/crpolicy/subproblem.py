@@ -7,12 +7,14 @@ The solvers maximize the self-normalized objective
 over per-unit weight boxes a_i <= W_i <= b_i, optionally intersected with a
 mean absolute-deviation budget around the nominal weights. Each set has one
 solver. The box case has a closed-form threshold solution: sort the units
-by r (ties broken on b - a), and the optimum assigns a below some cut index
-and b at or above it, with the cut found by scanning a discrete concave
-unimodal sequence. The budgeted case runs Dinkelbach's ratio iteration,
-each step a greedy fractional knapsack. The exact references that check
-them (corner enumeration for the box, a Charnes-Cooper LP for the budget)
-live with the tests.
+by r, and the optimum assigns a below some cut index and b at or above it,
+with the cut found by scanning a discrete concave unimodal sequence. The
+sort order is (r, b - a, index) ascending, the order of
+`np.lexsort((b - a, r))`; `box_order` is the one function that makes it.
+The budgeted case runs Dinkelbach's ratio iteration, each step a greedy
+fractional knapsack. The exact references that check them (corner
+enumeration for the box, a Charnes-Cooper LP for the budget) live with the
+tests.
 
 All functions operate on one treatment arm at a time; `box_rows`, the box
 core, solves many rows of contrasts at once and `solve_box` is its one-row
@@ -30,7 +32,7 @@ from .exceptions import SolverError
 # Not called here: perfbench's tracer binds it, and it must be loaded for the tracer to find it.
 from .simplex import simplex_solve  # noqa: F401
 
-__all__ = ["SubproblemSolution", "solve_box", "solve_budgeted", "threshold_values"]
+__all__ = ["SubproblemSolution", "box_order", "solve_box", "solve_budgeted", "threshold_values"]
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,49 @@ def threshold_values(r: np.ndarray, a: np.ndarray, b: np.ndarray):
     Returns (lams, order) where order is the lexicographic sort permutation
     on (r_i, b_i - a_i) ascending.
     """
-    order = np.lexsort((b - a, r))
-    return box_rows(r[None], a, b, order[None])[0][0], order
+    order = box_order(r[None], a, b)[0]
+    return box_rows(r[None], a, b, order)[0][0], order[0]
+
+
+# Fewer entries than this are sorted stably outright: on so few, numpy's
+# call overheads make the SIMD sort and its tie check cost as much.
+_SIMD_SORT_MIN = 512
+
+
+def box_order(r, a, b, pre=None, stable=False):
+    """Each row's sort permutation of r (R, k) on (r, b - a, index)
+    ascending, the order `np.lexsort((b - a, row))` gives, and whether a
+    row was seen to tie in r (-0.0 == 0.0 counts as a tie).
+
+    The rows are sorted by numpy's default argsort, which is not stable but
+    on x86 runs as a SIMD quicksort. Without a tie, the sorted permutation
+    is the only one. Rows with a tie are sorted again, stably, in `pre`, the
+    stable order of b - a (made here when not given), which breaks the tie
+    on (b - a, index). `stable` sorts that way from the start and still
+    looks for ties, for a caller that expects them; fewer than
+    `_SIMD_SORT_MIN` entries are sorted that way without looking.
+    """
+    rows, k = r.shape
+    if stable or r.size < _SIMD_SORT_MIN:
+        order = _stable_order(r, a, b, pre)
+        if r.size < _SIMD_SORT_MIN:
+            return order, False
+    else:
+        order = np.argsort(r, axis=1)
+    rs = np.take(r, order if rows == 1 else order + np.arange(0, r.size, k)[:, None])
+    tied = rs[:, 1:] == rs[:, :-1]
+    if not tied.any():
+        return order, False
+    if not stable:
+        again = np.flatnonzero(tied.any(axis=1))
+        order[again] = _stable_order(r[again], a, b, pre)
+    return order, True
+
+
+def _stable_order(r, a, b, pre):
+    """Each row of r sorted stably in pre, the stable order of b - a (made here when None)."""
+    pre = np.argsort(b - a, kind="stable") if pre is None else pre
+    return pre[np.argsort(r[:, pre], axis=1, kind="stable")]
 
 
 def box_rows(r, a, b, order):
@@ -112,11 +155,12 @@ def box_rows(r, a, b, order):
 def solve_box(r, a, b) -> SubproblemSolution:
     """Maximize sum(r W) / sum(W) over the box prod_i [a_i, b_i], exactly.
 
-    O(k log k): sort once, then evaluate every threshold via prefix sums and
-    take the argmax of the unimodal candidate sequence; `box_rows` for one row.
+    O(k log k): sort once (`box_order`), then evaluate every threshold via
+    prefix sums and take the argmax of the unimodal candidate sequence;
+    `box_rows` for one row.
     """
     r, a, b = _validated(r, a, b)
-    lams, weights = box_rows(r[None], a, b, np.lexsort((b - a, r))[None])
+    lams, weights = box_rows(r[None], a, b, box_order(r[None], a, b)[0])
     k_star = int(np.argmax(lams[0]))  # 0-based count of units at the lower bound
     return SubproblemSolution(value=float(lams[0, k_star]), weights=weights[0], threshold=k_star + 1)
 

@@ -455,6 +455,35 @@ class TestPolicyShape:
         ).read_bytes()
 
 
+class TestPolicyDocumentFields:
+    """A policy file whose m or d disagrees with its own payload exits 2 naming the file,
+    before it is compared with the data."""
+
+    DOCS = {
+        "constant": ({"variant": "constant", "m": 3, "payload": {"p": [0.5, 0.5]}}, "m = 3"),
+        "logistic": (
+            {"variant": "logistic", "m": 5, "d": 9, "payload": {"theta": [[0.1, 0.2, 0.0, 0.0, 0.0, -0.3]]}},
+            "m = 5",
+        ),
+        "hardened_logistic": (
+            {"variant": "hardened_logistic", "m": 2, "d": 9,
+             "payload": {"theta": [[0.1, 0.2, 0.0, 0.0, 0.0, -0.3]]}},
+            "d = 9",
+        ),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(DOCS))
+    def test_evaluate_refuses(self, variant, sim_csv, tmp_path, capsys):
+        doc, message = self.DOCS[variant]
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(doc))
+        rc = main([*TestPolicyFiles._argv("evaluate", sim_csv, path), "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert f"{path}: the {variant} policy document says {message}" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestTreeOptionsRejected:
     """simulate and calibrate fit logistic policies only, so tree options are errors."""
 

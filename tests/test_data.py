@@ -1,8 +1,11 @@
+import csv
+import re
+
 import numpy as np
 import pytest
 
 from crpolicy import ColumnSchema, Dataset, estimate_propensities, load_dataset
-from crpolicy.data import ArmIndex, fit_multinomial_logit, propensity_matrix
+from crpolicy.data import ArmIndex, _parse_cell, fit_multinomial_logit, propensity_matrix, softmax
 from crpolicy.exceptions import ConvergenceError, DatasetError, DatasetWarning
 
 
@@ -55,6 +58,105 @@ class TestLoadDataset:
         data = load_dataset(_write(tmp_path, "x0,t,y,e\n1.0,1,2.0,0.25\n0.0,0,1.0,0.5\n"), schema)
         assert np.allclose(data.e_hat, [0.25, 0.5])
 
+    # Odd but valid files, and malformed ones. Each body repeats its rows past
+    # the parser's first chunk of rows, so row numbers there are global ones.
+    ODD = {
+        "blank rows": "1.0,a,1,2\n\n,,,\n  ,\t, ,\n0.5,b,0,-1\n",
+        "whitespace and quotes": '" 1.5 ",a, 1 ,"2.0"\n\t0.25\t,"b","0",-0.0\n',
+        "underscores, -0 and 1e308": "1_0,a,0_1,1e308\n-0,b,-0,-1e-308\n1.5,c,0,2\n",
+        "unread column": "1.0,not a number,1,2\n2.0,,0,3\n",
+    }
+    BAD = {
+        "missing cell": (",x,1,2", "missing value in column 'x0'"),
+        "non-numeric cell": ("1.0,x,1,abc", "non-numeric value 'abc' in column 'y'"),
+        "inf": ("inf,x,1,2", "non-finite value in column 'x0'"),
+        "nan": ("1.0,x,1,nan", "non-finite value in column 'y'"),
+        "overflow": ("1e400,x,1,2", "non-finite value in column 'x0'"),
+        "short row": ("1.0,x,1", "has 3 cells, expected 4"),
+        "long row": ("1.0,x,1,2,3", "has 5 cells, expected 4"),
+        "negative T": ("1.0,x,-1,2", "treatment value -1.0"),
+        "fractional T": ("1.0,x,0.5,2", "treatment value 0.5"),
+        "fractional T before a bad Y": ("1.0,x,2.5,abc", "treatment value 2.5"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ODD))
+    def test_odd_valid_file_parses_as_cell_by_cell(self, case, tmp_path):
+        path = _write(tmp_path, "x0,name,t,y\n" + self.ODD[case] * 1500)
+        _assert_same_as_reference(load_dataset(path, SCHEMA), path, SCHEMA)
+
+    def test_propensities_and_counterfactuals_parse_as_cell_by_cell(self, tmp_path):
+        rng = np.random.default_rng(3)
+        x, c0, c1 = rng.standard_normal((3, 5000)).tolist()
+        e = rng.uniform(0.1, 0.9, 5000).tolist()
+        rows = [f"{x[i]!r},{i % 2},{(c0, c1)[i % 2][i]!r},{e[i]!r},{c0[i]!r},{c1[i]!r}" for i in range(5000)]
+        path = _write(tmp_path, "x0,t,y,e,c0,c1\n" + "\n".join(rows) + "\n")
+        schema = ColumnSchema(["x0"], "t", "y", propensity="e", potential_outcomes=["c0", "c1"])
+        _assert_same_as_reference(load_dataset(path, schema), path, schema)
+
+    @pytest.mark.parametrize("row", [1, 2048, 2049, 3001, 4500])
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_malformed_row_raises_as_cell_by_cell(self, case, row, tmp_path):
+        rows = ["1.0,x,1,2.5", "-0.5,y,0,1e-3"] * 2250
+        cell, message = self.BAD[case]
+        rows[row - 1] = cell
+        path = _write(tmp_path, "x0,name,t,y\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DatasetError) as ref:
+            _reference_load(path, SCHEMA)
+        with pytest.raises(DatasetError) as got:
+            load_dataset(path, SCHEMA)
+        assert str(got.value) == str(ref.value)
+        assert message in str(got.value) and re.search(rf"data row {row}\b", str(got.value))
+
+    def test_label_past_int64_fails_as_cell_by_cell(self, tmp_path):
+        path = _write(tmp_path, "x0,name,t,y\n" + "1.0,a,1,2\n" * 3000 + "1.0,a,1e19,2\n")
+        with pytest.raises(OverflowError) as ref:
+            _reference_load(path, SCHEMA)
+        with pytest.raises(OverflowError) as got:
+            load_dataset(path, SCHEMA)
+        assert str(got.value) == str(ref.value)
+
+
+def _reference_load(path, schema):
+    """The cell-by-cell CSV parse: (X, T, Y, e_hat, potential_Y, m), blank rows
+    skipped, the first bad cell in file order raising."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        pos = {name: i for i, name in enumerate(header)}
+        cov, pot = list(schema.covariates), list(schema.potential_outcomes or [])
+        X, T, Y, e, P = [], [], [], [], []
+        for row_num, row in enumerate(reader, start=1):
+            if not row or all(cell.strip() == "" for cell in row):
+                continue
+            if len(row) != len(header):
+                raise DatasetError(f"{path}: data row {row_num} has {len(row)} cells, expected {len(header)}")
+            X.append([_parse_cell(row[pos[c]], c, row_num) for c in cov])
+            t = _parse_cell(row[pos[schema.treatment]], schema.treatment, row_num)
+            if t != int(t) or t < 0:
+                raise DatasetError(
+                    f"{path}: treatment value {t!r} at data row {row_num} is not a non-negative integer"
+                )
+            T.append(int(t))
+            Y.append(_parse_cell(row[pos[schema.outcome]], schema.outcome, row_num))
+            if schema.propensity:
+                e.append(_parse_cell(row[pos[schema.propensity]], schema.propensity, row_num))
+            P.append([_parse_cell(row[pos[c]], c, row_num) for c in pot])
+    T = np.array(T, dtype=np.int64)
+    m = max(2, int(T.max()) + 1) if T.size else 2
+    e_hat = np.array(e, dtype=float) if schema.propensity else None
+    pot_Y = np.array(P, dtype=float).reshape(T.size, len(pot)) if pot else None
+    return np.array(X, dtype=float).reshape(T.size, len(cov)), T, np.array(Y, dtype=float), e_hat, pot_Y, m
+
+
+def _assert_same_as_reference(data, path, schema):
+    *arrays, m = _reference_load(path, schema)
+    for got, want in zip((data.X, data.T, data.Y, data.e_hat, data.potential_Y), arrays):
+        if want is None:
+            assert got is None
+        else:
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert data.m == m
+
 
 class TestDatasetInvariants:
     def test_consistency_with_counterfactuals(self):
@@ -92,6 +194,30 @@ class TestArmIndex:
         assert np.array_equal(np.sort(all_idx), np.arange(50))
         for t in range(3):
             assert np.all(T[arms[t]] == t)
+
+
+class TestSoftmax:
+    """The column-wise row max and normalizer give the bits of numpy's own reduces."""
+
+    @staticmethod
+    def _reduced(scores):
+        s = scores - scores.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
+        return s
+
+    @pytest.mark.parametrize("m", list(range(1, 13)) + [130])
+    def test_bits_of_the_reduce_form(self, m):
+        rng = np.random.default_rng(m)
+        for shape in [(m,), (50, m), (3, 40, m)]:
+            x = rng.standard_normal(shape) * rng.choice([1.0, 30.0, 700.0, 1e5], size=shape)
+            x[rng.random(shape) < 0.2] = 0.0
+            x[rng.random(shape) < 0.1] = -0.0
+            assert softmax(x).tobytes() == self._reduced(x).tobytes()
+
+    def test_large_scores_do_not_overflow(self):
+        p = softmax(np.array([[1e6, 1e6 - 1.0, -1e6]]))
+        assert np.isfinite(p).all() and p[0, 0] > p[0, 1] > p[0, 2] == 0.0
 
 
 class TestEstimatePropensities:

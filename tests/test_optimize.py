@@ -1,3 +1,4 @@
+import json
 import time
 import tracemalloc
 
@@ -129,6 +130,17 @@ class TestSubgradientFit:
         assert restored.gamma == res.gamma
         assert restored.fell_back == res.fell_back
         assert type(restored.policy) is type(res.policy)
+
+    @pytest.mark.parametrize(
+        "options, named",
+        [({"extra": 1}, ["'extra'"]), ({"iters": 3, "zeta": 1, "extra": 2}, ["'extra', 'zeta'"]), ([1, 2], ["[1, 2]"])],
+    )
+    def test_result_json_with_unknown_options_refused(self, options, named):
+        doc = json.loads(FitResult(PI0, 0.0, options=FitOptions()).to_json())
+        doc["options"] = {**doc["options"], **options} if isinstance(options, dict) else options
+        with pytest.raises(ValueError, match="options") as err:
+            FitResult.from_json(json.dumps(doc))
+        assert all(text in str(err.value) for text in named)
 
 
 class TestSubgradientMultiArm:

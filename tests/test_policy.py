@@ -168,6 +168,36 @@ class TestSerialization:
             policy_from_json('{"variant": "mystery", "m": 2, "d": 1, "payload": {}}')
 
 
+class TestDocumentFields:
+    """A document's m and d, when present, must be what its payload gives."""
+
+    CONSTANT = {"variant": "constant", "payload": {"p": [0.5, 0.5]}}
+    LOGISTIC = {"variant": "logistic", "payload": {"theta": [[0.1, 0.2]]}}
+    HARDENED = {"variant": "hardened_logistic", "payload": {"theta": [[0.1, 0.2]]}}
+    BAD = {
+        "constant m": ({**CONSTANT, "m": 3}, "m = 3"),
+        "logistic m and d": ({**LOGISTIC, "m": 5, "d": 9}, "m = 5"),
+        "logistic d": ({**LOGISTIC, "m": 2, "d": 9}, "d = 9"),
+        "hardened m": ({**HARDENED, "m": 3, "d": 1}, "m = 3"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_disagreeing_fields_refused(self, case):
+        doc, message = self.BAD[case]
+        with pytest.raises(ValueError, match=message):
+            policy_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("doc", [CONSTANT, LOGISTIC, HARDENED])
+    def test_agreeing_or_absent_fields_accepted(self, doc):
+        pol = policy_from_json(json.dumps(doc))
+        assert (pol.m, pol.d) == ((2, 0) if doc is self.CONSTANT else (2, 1))
+        again = policy_from_json(json.dumps({**doc, "m": pol.m, "d": pol.d}))
+        assert (again.m, again.d) == (pol.m, pol.d)
+
+    def test_constant_takes_d_from_the_document(self):
+        assert policy_from_json(json.dumps({**self.CONSTANT, "m": 2, "d": 4})).d == 4
+
+
 class TestTreeShape:
     """A tree refuses, when built, leaves of another length than m and splits outside [0, d)."""
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from crpolicy import solve_box, solve_budgeted, weight_bounds
 from crpolicy.evaluation.estimators import ArmKernel
-from crpolicy.subproblem import box_rows, threshold_values
+from crpolicy.subproblem import box_order, box_rows, threshold_values
 from oracles import oracle_box, oracle_budgeted
 
 
@@ -360,3 +360,84 @@ class TestBoxRows:
                 W, _ = worst_case_solution(r[j], spec, data.arms())
                 for idx in data.arms().indices:
                     assert (shares[j, idx]).tobytes() == (W[idx] / W[idx].sum()).tobytes()
+
+    @staticmethod
+    def _binary_contrasts(rng, rows, k):
+        """(pi - pi0) Y for a binary outcome Y: about half the entries exactly 0, of
+        either sign, and the rest on a coarse grid, so nonzero values tie too."""
+        return np.round(rng.uniform(-1.0, 1.0, (rows, k)), 2) * (rng.random((rows, k)) < 0.5)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("stable", [False, True])
+    def test_order_is_lexsort_on_binary_contrasts(self, rows, stable):
+        rng = np.random.default_rng(14)
+        k = 10**4
+        a, b = weight_bounds(1.0 / rng.choice([0.2, 0.5, 0.8], k), 1.5)  # ties in b - a too
+        pre = np.argsort(b - a, kind="stable")
+        tied = self._binary_contrasts(rng, rows, k)
+        assert np.signbit(tied[tied == 0.0]).any() and not np.signbit(tied[tied == 0.0]).all()
+        distinct = rng.standard_normal((rows, k))
+        mixed = np.vstack([distinct[:-1], tied[-1:]])
+        for r, has_tie in ((tied, True), (distinct, False), (mixed, True)):
+            for given in (None, pre):
+                order, found = box_order(r, a, b, given, stable)
+                assert found == has_tie
+                for row, row_order in zip(r, order):
+                    assert np.array_equal(row_order, np.lexsort((b - a, row)))
+
+    def test_signed_zeros_are_a_tie(self):
+        # Distinct contrasts but one 0.0 and one -0.0: lexsort orders the pair by b - a.
+        rng = np.random.default_rng(17)
+        k = 4000
+        a = np.full(k, 1.0)
+        b = 1.0 + rng.permutation(k) / k
+        for _ in range(20):
+            r = rng.standard_normal((1, k))
+            i, j = rng.choice(k, 2, replace=False)
+            r[0, i], r[0, j] = 0.0, -0.0
+            order, tied = box_order(r, a, b)
+            assert tied and np.array_equal(order[0], np.lexsort((b - a, r[0])))
+
+    def test_order_is_lexsort_at_every_size(self):
+        # Small blocks sort stably outright, larger ones by the SIMD sort and a tie repair.
+        rng = np.random.default_rng(16)
+        for _ in range(60):
+            rows, k = int(rng.integers(1, 5)), int(rng.integers(1, 1500))
+            a = 1.0 + rng.integers(0, 3, k) * 0.5
+            b = a + rng.integers(0, 3, k) * 0.25
+            r = rng.standard_normal((rows, k))
+            if rng.random() < 0.5:
+                r = self._binary_contrasts(rng, rows, k)
+            for stable in (False, True):
+                order, _ = box_order(r, a, b, stable=stable)
+                for row, row_order in zip(r, order):
+                    assert np.array_equal(row_order, np.lexsort((b - a, row)))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_kernel_on_binary_contrasts_equals_worst_case_solution(self, rows, monkeypatch):
+        from crpolicy import Dataset, UncertaintySpec
+        from crpolicy.evaluation import estimators
+        from crpolicy.evaluation.estimators import worst_case_solution
+
+        def checked_box_rows(r, a, b, order):
+            for row, row_order in zip(r, order):
+                assert np.array_equal(row_order, np.lexsort((b - a, row)))
+            return box_rows(r, a, b, order)
+
+        monkeypatch.setattr(estimators, "box_rows", checked_box_rows)
+        rng = np.random.default_rng(15)
+        n = 2 * 10**4
+        data = Dataset(X=np.zeros((n, 1)), T=np.arange(n) % 2, Y=np.ones(n), m=2,
+                       e_hat=rng.choice([0.2, 0.5, 0.8], n))
+        spec = UncertaintySpec.from_dataset(data, 1.5)
+        kernel = ArmKernel(spec, data.arms())
+        tied = self._binary_contrasts(rng, rows, n)
+        distinct = rng.standard_normal((rows, n))
+        # Tied, then not, then tied again: the kernel's stable-first guess follows the last call.
+        for r, flags in ((tied, [True, True]), (distinct, [False, False]), (tied, [True, True])):
+            shares = kernel.shares(r)
+            assert kernel.tied == flags
+            for j in range(rows):
+                W, _ = worst_case_solution(r[j], spec, data.arms())
+                for idx in data.arms().indices:
+                    assert shares[j, idx].tobytes() == (W[idx] / W[idx].sum()).tobytes()
