@@ -304,13 +304,14 @@ def load_dataset(path, schema: ColumnSchema) -> Dataset:
                 stacklevel=2,
             )
     pot_at = d + 2 + bool(schema.propensity)
+    # Each array gets its own copy: a view into vals would keep all of vals alive.
     return Dataset(
-        X=vals[:d].T,
+        X=vals[:d].T.copy(),
         T=T,
-        Y=vals[d + 1],
+        Y=vals[d + 1].copy(),
         m=m,
-        e_hat=vals[d + 2] if schema.propensity else None,
-        potential_Y=vals[pot_at:].T if schema.potential_outcomes else None,
+        e_hat=vals[d + 2].copy() if schema.propensity else None,
+        potential_Y=vals[pot_at:].T.copy() if schema.potential_outcomes else None,
     )
 
 

@@ -34,7 +34,7 @@ from .policy import (
     one_hot_arms,
     policy_from_json,
     policy_to_json,
-    softmax_score_grad,
+    score_grad_at,
 )
 # Not called here: perfbench's tracer self-test reads this binding.
 from .subproblem import solve_box  # noqa: F401
@@ -156,7 +156,7 @@ class _SubgradientProblem:
             probs = softmax(logistic_scores(theta, data.X))
             pT = probs.reshape(len(theta), -1).take(self.at_T, axis=1)
             c = kernel.shares((pT - self.p0_obs) * data.Y) * data.Y
-            g = np.swapaxes(softmax_score_grad(probs, data.T, c, pT, self.delta), 1, 2) @ self.Z
+            g = np.swapaxes(score_grad_at(probs, c, pT, self.delta), 1, 2) @ self.Z
             if not np.isfinite(g).all():
                 raise SolverError("non-finite subgradient")
             g *= opts.eta0 * (k + 1) ** (-opts.kappa)

@@ -132,21 +132,20 @@ def logistic_scores(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     return s
 
 
-def softmax_score_grad(
-    probs: np.ndarray, T: np.ndarray, c: np.ndarray, pT: np.ndarray = None, delta: np.ndarray = None
-) -> np.ndarray:
+def softmax_score_grad(probs: np.ndarray, T: np.ndarray, c: np.ndarray) -> np.ndarray:
     """c_i * d pi(T_i | X_i) / d s_u for the non-reference scores u = 1..m-1, as (n, m-1).
 
     d pi_t / d s_u = pi_t (1[t=u] - pi_u); the gradient in theta is this row
     times (1, X_i), so sum_i c_i grad pi(T_i | X_i) is its transpose times
     the design matrix. Stacked probs (R, n, m) and c (R, n) give (R, n, m-1).
-    A caller that steps many times passes in what it already has: pT, the
-    probs gathered at each T_i, and delta, `one_hot_arms(T, m)`.
     """
-    if pT is None:
-        pT = probs[..., np.arange(T.size), T]
-    if delta is None:
-        delta = one_hot_arms(T, probs.shape[-1])
+    pT = probs[..., np.arange(T.size), T]
+    return score_grad_at(probs, c, pT, one_hot_arms(T, probs.shape[-1]))
+
+
+def score_grad_at(probs: np.ndarray, c: np.ndarray, pT: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """`softmax_score_grad` given pT, the probs gathered at each T_i, and
+    delta, `one_hot_arms(T, m)`, for a caller that steps many times."""
     return (c * pT)[..., None] * (delta - probs[..., 1:])
 
 

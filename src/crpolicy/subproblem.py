@@ -88,8 +88,11 @@ def threshold_values(r: np.ndarray, a: np.ndarray, b: np.ndarray):
     return box_rows(r[None], a, b, order)[0][0], order[0]
 
 
-# Fewer entries than this are sorted stably outright: on so few, numpy's
-# call overheads make the SIMD sort and its tie check cost as much.
+# Fewer entries than this are sorted stably outright. Measured on a 2-core
+# Xeon with one row of continuous r, the SIMD sort plus its tie check costs
+# 1-4 us more than the stable sort up to ~500 entries and less from ~600;
+# sorting the tree search's k ~ 100 solves the SIMD way made a greedy
+# depth-2 tree fit on 800 rows ~11% slower.
 _SIMD_SORT_MIN = 512
 
 
@@ -103,17 +106,13 @@ def box_order(r, a, b, pre=None, stable=False):
     is the only one. Rows with a tie are sorted again, stably, in `pre`, the
     stable order of b - a (made here when not given), which breaks the tie
     on (b - a, index). `stable` sorts that way from the start and still
-    looks for ties, for a caller that expects them; fewer than
+    looks for ties, for a caller that expects them. Fewer than
     `_SIMD_SORT_MIN` entries are sorted that way without looking.
     """
-    rows, k = r.shape
-    if stable or r.size < _SIMD_SORT_MIN:
-        order = _stable_order(r, a, b, pre)
-        if r.size < _SIMD_SORT_MIN:
-            return order, False
-    else:
-        order = np.argsort(r, axis=1)
-    rs = np.take(r, order if rows == 1 else order + np.arange(0, r.size, k)[:, None])
+    if r.size < _SIMD_SORT_MIN:
+        return _stable_order(r, a, b, pre), False
+    order = _stable_order(r, a, b, pre) if stable else np.argsort(r, axis=1)
+    rs = _sorted_rows(r, order)[1]
     tied = rs[:, 1:] == rs[:, :-1]
     if not tied.any():
         return order, False
@@ -129,15 +128,21 @@ def _stable_order(r, a, b, pre):
     return pre[np.argsort(r[:, pre], axis=1, kind="stable")]
 
 
+def _sorted_rows(r, order):
+    """The index of each row's permutation `order` into r.ravel(), and r (R, k) gathered by it."""
+    rows, k = r.shape
+    flat = order if rows == 1 else order + np.arange(0, r.size, k)[:, None]
+    return flat, np.take(r, flat)
+
+
 def box_rows(r, a, b, order):
     """The box solve of each row of r (R, k) over one arm's validated bounds,
     given each row's sort permutation on (r, b - a) ascending: the row's
     lambda(j), j = 1..k+1, as `threshold_values` gives them, and its weights.
     """
     rows, k = r.shape
-    flat = order if rows == 1 else order + np.arange(0, r.size, k)[:, None]  # into r.ravel()
+    flat, rs = _sorted_rows(r, order)
     as_, bs = a[order], b[order]
-    rs = np.take(r, flat)
     # Prefix sums of a r, a, b r and b, each after a zero column.
     sums = np.zeros((4, rows, k + 1))
     pre = sums[:, :, 1:]

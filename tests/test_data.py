@@ -93,6 +93,15 @@ class TestLoadDataset:
         schema = ColumnSchema(["x0"], "t", "y", propensity="e", potential_outcomes=["c0", "c1"])
         _assert_same_as_reference(load_dataset(path, schema), path, schema)
 
+    def test_arrays_hold_only_their_own_values(self, tmp_path):
+        # A view into the parsed block would keep every column of the file alive.
+        path = _write(tmp_path, "x0,t,y,e,c0,c1\n" + "0.5,1,2.0,0.4,1.0,2.0\n1.5,0,1.0,0.6,1.0,3.0\n" * 1500)
+        schema = ColumnSchema(["x0"], "t", "y", propensity="e", potential_outcomes=["c0", "c1"])
+        data = load_dataset(path, schema)
+        for arr in (data.X, data.T, data.Y, data.e_hat, data.potential_Y):
+            owner = arr if arr.base is None else arr.base
+            assert owner.nbytes == arr.nbytes
+
     @pytest.mark.parametrize("row", [1, 2048, 2049, 3001, 4500])
     @pytest.mark.parametrize("case", sorted(BAD))
     def test_malformed_row_raises_as_cell_by_cell(self, case, row, tmp_path):
