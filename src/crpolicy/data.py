@@ -49,6 +49,11 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return s
 
 
+def one_hot_arms(T: np.ndarray, m: int) -> np.ndarray:
+    """1[T_i = u] for the non-reference arms u = 1..m-1, as (n, m-1) floats."""
+    return (T[:, None] == np.arange(1, m)[None, :]).astype(float)
+
+
 def _by_columns(ufunc, x: np.ndarray) -> np.ndarray:
     """ufunc folded over the last axis of x from the left, a column at a time."""
     cols = np.moveaxis(x, -1, 0)
@@ -226,6 +231,10 @@ class _Layout:
                     f"{self.path}: treatment value {t_val!r} at data row {row_num} "
                     "is not a non-negative integer"
                 )
+            if t_val >= 2.0**63:
+                raise DatasetError(
+                    f"{self.path}: treatment value {t_val!r} at data row {row_num} is past the int64 range"
+                )
             vals += [_parse_cell(row[j], name, row_num) for name, j in cells[self.t_at + 1 :]]
             values.append(vals)
             labels.append(int(t_val))
@@ -242,7 +251,7 @@ class _Layout:
                 cols = list(zip(*rows))
                 vals = np.array([np.fromiter(map(float, cols[j]), float, len(rows)) for j in self.pos])
                 t = vals[self.t_at]
-                # Labels past int64 are left to `parse_cells`, as large as Python makes them.
+                # Labels past int64 are left to `parse_cells`, which names their row.
                 if np.isfinite(vals).all() and ((t >= 0) & (t == np.floor(t)) & (t < 2.0**63)).all():
                     return vals, t.astype(np.int64)
         except ValueError:
@@ -257,6 +266,8 @@ def load_dataset(path, schema: ColumnSchema) -> Dataset:
     The number of arms is inferred as 1 + max(T) (at least 2). A treatment
     label in {0, ..., m-1} that never occurs in the file triggers a
     DatasetWarning rather than an error; fitting on that arm later fails.
+    A file in which more labels never occur than it has data rows is
+    refused with a DatasetError.
     Rows are read in chunks of `_CHUNK_ROWS`.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -288,6 +299,13 @@ def load_dataset(path, schema: ColumnSchema) -> Dataset:
     T = np.concatenate([np.empty(0, np.int64)] + [np.array(labels, dtype=np.int64) for _, labels in chunks])
     n = T.shape[0]
     m = max(2, int(T.max()) + 1) if n else 2
+    # A stray label makes m huge: refuse it before any work of size m. More
+    # than n of the m labels can go unseen only when m > n + 1.
+    if n and m > n + 1 and (unseen := m - np.unique(T).size) > n:
+        raise DatasetError(
+            f"{path}: {unseen} of the labels 0..{m - 1} never occur, more than the "
+            f"{n} data rows; treatment labels must be dense integers"
+        )
     if schema.potential_outcomes and len(schema.potential_outcomes) != m:
         raise DatasetError(
             f"{path}: {len(schema.potential_outcomes)} counterfactual columns given "
@@ -346,8 +364,7 @@ def fit_multinomial_logit(
     Z = _design_matrix(X)
     p = Z.shape[1]
     theta = np.zeros((m - 1, p))
-    onehot = np.zeros((n, m))
-    onehot[np.arange(n), T] = 1.0
+    delta = one_hot_arms(T, m)
 
     def nll(th: np.ndarray) -> float:
         scores = np.hstack([np.zeros((n, 1)), Z @ th.T])
@@ -360,7 +377,7 @@ def fit_multinomial_logit(
     grad_norm = np.inf
     for _ in range(max_iter):
         probs = softmax(np.hstack([np.zeros((n, 1)), Z @ theta.T]))
-        grad = Z.T @ (probs[:, 1:] - onehot[:, 1:])  # (p, m-1)
+        grad = Z.T @ (probs[:, 1:] - delta)  # (p, m-1)
         grad_norm = float(np.abs(grad).max())
         if grad_norm <= grad_tol * scale:
             return theta

@@ -9,6 +9,7 @@ learned policy can be computed exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -211,12 +212,10 @@ def simulate_multi(params: SimParamsMulti) -> SimulatedData:
     )
     U = (potential[:, 1] < potential[:, 0]).astype(np.int64)
 
-    if p.assignment_fn is not None:
-        probs_true = np.asarray(p.assignment_fn(X, U), dtype=float)
-        if probs_true.shape != (n, 3):
-            raise ValueError("assignment_fn must return an (n, 3) probability matrix")
-    else:
-        probs_true = _multi_assignment_probs(p, X, U)
+    assign = p.assignment_fn if p.assignment_fn is not None else partial(_multi_assignment_probs, p)
+    probs_true = np.asarray(assign(X, U), dtype=float)
+    if probs_true.shape != (n, 3):
+        raise ValueError("assignment_fn must return an (n, 3) probability matrix")
     cdf = np.cumsum(probs_true, axis=1)
     u = rng.random(n)
     T = (u[:, None] > cdf).sum(axis=1).astype(np.int64)
@@ -227,13 +226,7 @@ def simulate_multi(params: SimParamsMulti) -> SimulatedData:
     gap = X @ p.beta_t1 + p.alpha[1]
     u_if_xi0 = (gap < 0).astype(float)
     u_if_xi1 = (gap + p.eta[1] < 0).astype(float)
-    if p.assignment_fn is not None:
-        probs0 = np.asarray(p.assignment_fn(X, u_if_xi0))
-        probs1 = np.asarray(p.assignment_fn(X, u_if_xi1))
-    else:
-        probs0 = _multi_assignment_probs(p, X, u_if_xi0)
-        probs1 = _multi_assignment_probs(p, X, u_if_xi1)
-    nominal = 0.5 * (probs0 + probs1)
+    nominal = 0.5 * (np.asarray(assign(X, u_if_xi0)) + np.asarray(assign(X, u_if_xi1)))
     e_nominal_obs = nominal[np.arange(n), T]
     w_star_obs = 1.0 / probs_true[np.arange(n), T]
 

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .data import Dataset, softmax
+from .data import Dataset, _design_matrix, one_hot_arms, softmax
 from .exceptions import SolverError
 from .policy import (
     LogisticPolicy,
@@ -31,7 +31,6 @@ from .policy import (
     TreeNode,
     TreePolicy,
     logistic_scores,
-    one_hot_arms,
     policy_from_json,
     policy_to_json,
     score_grad_at,
@@ -139,7 +138,7 @@ class _SubgradientProblem:
         self.arms = data.arms()
         self.arms.require_nonempty("subgradient_fit")
         self.p0_obs = pi0.observed_prob(data.X, data.T)
-        self.Z = np.hstack([np.ones((data.n, 1)), data.X])
+        self.Z = _design_matrix(data.X)
         self.shape = (data.m - 1, data.d + 1)
         self.at_T = np.arange(data.n) * data.m + data.T  # (i, T_i) in a flattened (n, m) block
         self.delta = one_hot_arms(data.T, data.m)

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .data import softmax
+from .data import _design_matrix, one_hot_arms, softmax
 from .exceptions import UnsupportedPolicyError
 
 __all__ = [
@@ -85,12 +85,10 @@ class ConstantPolicy(Policy):
 
 
 @dataclass(frozen=True)
-class LogisticPolicy(Policy):
-    """Multinomial logistic policy pi(t | x) proportional to exp(alpha_t + beta_t' x).
-
-    theta has shape (m-1, d+1): row t-1 holds (alpha_t, beta_t) for arm t,
-    and arm 0 is the zero-score reference.
-    """
+class _ThetaPolicy(Policy):
+    """A policy set by a finite parameter block theta of shape (m-1, d+1):
+    row t-1 holds (alpha_t, beta_t) for arm t, and arm 0 is the zero-score
+    reference."""
 
     theta: np.ndarray
 
@@ -108,19 +106,22 @@ class LogisticPolicy(Policy):
     def d(self) -> int:
         return self.theta.shape[1] - 1
 
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        return logistic_scores(self.theta, X)
+
+class LogisticPolicy(_ThetaPolicy):
+    """Multinomial logistic policy pi(t | x) proportional to exp(alpha_t + beta_t' x)."""
 
     def prob_matrix(self, X: np.ndarray) -> np.ndarray:
-        return softmax(self.scores(X))
+        return softmax(logistic_scores(self.theta, X))
 
-    def grad_matrix(self, X: np.ndarray, T: np.ndarray) -> np.ndarray:
-        """Gradients d pi(T_i | X_i) / d theta stacked as (n, m-1, d+1)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        n = X.shape[0]
-        coef = softmax_score_grad(self.prob_matrix(X), np.asarray(T, dtype=np.int64), np.ones(n))
-        Z = np.hstack([np.ones((n, 1)), X])
-        return coef[:, :, None] * Z[:, None, :]
+
+class HardenedLogisticPolicy(_ThetaPolicy):
+    """Deterministic argmax version of a logistic policy (evaluation-time only)."""
+
+    def prob_matrix(self, X: np.ndarray) -> np.ndarray:
+        scores = logistic_scores(self.theta, X)
+        out = np.zeros_like(scores)
+        out[np.arange(scores.shape[0]), np.argmax(scores, axis=1)] = 1.0
+        return out
 
 
 def logistic_scores(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -132,50 +133,15 @@ def logistic_scores(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     return s
 
 
-def softmax_score_grad(probs: np.ndarray, T: np.ndarray, c: np.ndarray) -> np.ndarray:
+def score_grad_at(probs: np.ndarray, c: np.ndarray, pT: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """c_i * d pi(T_i | X_i) / d s_u for the non-reference scores u = 1..m-1, as (n, m-1).
 
+    pT holds the probs gathered at each T_i and delta is `one_hot_arms(T, m)`.
     d pi_t / d s_u = pi_t (1[t=u] - pi_u); the gradient in theta is this row
     times (1, X_i), so sum_i c_i grad pi(T_i | X_i) is its transpose times
-    the design matrix. Stacked probs (R, n, m) and c (R, n) give (R, n, m-1).
+    the design matrix. Stacked probs (R, n, m), c and pT (R, n) give (R, n, m-1).
     """
-    pT = probs[..., np.arange(T.size), T]
-    return score_grad_at(probs, c, pT, one_hot_arms(T, probs.shape[-1]))
-
-
-def score_grad_at(probs: np.ndarray, c: np.ndarray, pT: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """`softmax_score_grad` given pT, the probs gathered at each T_i, and
-    delta, `one_hot_arms(T, m)`, for a caller that steps many times."""
     return (c * pT)[..., None] * (delta - probs[..., 1:])
-
-
-def one_hot_arms(T: np.ndarray, m: int) -> np.ndarray:
-    """1[T_i = u] for the non-reference arms u = 1..m-1, as (n, m-1) floats."""
-    return (T[:, None] == np.arange(1, m)[None, :]).astype(float)
-
-
-@dataclass(frozen=True)
-class HardenedLogisticPolicy(Policy):
-    """Deterministic argmax version of a logistic policy (evaluation-time only)."""
-
-    theta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", np.atleast_2d(np.asarray(self.theta, dtype=float)))
-
-    @property
-    def m(self) -> int:
-        return self.theta.shape[0] + 1
-
-    @property
-    def d(self) -> int:
-        return self.theta.shape[1] - 1
-
-    def prob_matrix(self, X: np.ndarray) -> np.ndarray:
-        scores = LogisticPolicy(self.theta).scores(X)
-        out = np.zeros_like(scores)
-        out[np.arange(scores.shape[0]), np.argmax(scores, axis=1)] = 1.0
-        return out
 
 
 def harden(pol: "LogisticPolicy") -> HardenedLogisticPolicy:
@@ -263,7 +229,9 @@ def policy_gradient(pol: Policy, t: int, x) -> np.ndarray:
     if not 0 <= t < pol.m:
         raise IndexError(f"arm {t} out of range for m={pol.m}")
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    return pol.grad_matrix(x, np.array([t]))[0]
+    probs = pol.prob_matrix(x)
+    coef = score_grad_at(probs, np.ones(1), probs[:, t], one_hot_arms(np.array([t]), pol.m))
+    return np.outer(coef[0], _design_matrix(x)[0])
 
 
 def control_baseline(m: int) -> ConstantPolicy:
@@ -309,7 +277,7 @@ def policy_to_json(pol: Policy) -> str:
     """
     if isinstance(pol, ConstantPolicy):
         variant, payload = "constant", {"p": list(map(float, pol.p))}
-    elif isinstance(pol, (LogisticPolicy, HardenedLogisticPolicy)):
+    elif isinstance(pol, _ThetaPolicy):
         variant = "logistic" if isinstance(pol, LogisticPolicy) else "hardened_logistic"
         payload = {"theta": [list(map(float, row)) for row in pol.theta]}
     elif isinstance(pol, TreePolicy):

@@ -2,6 +2,9 @@ import csv
 import filecmp
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,6 +316,24 @@ class TestConfigAndErrors:
                    "--treatment-col", "t", "--outcome-col", "y", "--output-dir", str(tmp_path)])
         assert rc == 2
 
+    def test_stray_label_fails_with_short_stderr(self, tmp_path):
+        # In a child process, so a DatasetWarning would reach stderr as it does for a user.
+        path = tmp_path / "stray.csv"
+        path.write_text("x0,t,y\n1.0,0,1\n2.0,1,2\n3.0,0,3\n4.0,100000,4\n")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+        proc = subprocess.run(
+            [sys.executable, "-m", "crpolicy.cli", "fit", "--input", str(path), "--covariates", "x0",
+             "--treatment-col", "t", "--outcome-col", "y", "--gamma", "1.0",
+             "--output-dir", str(tmp_path / "out")],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert len(proc.stderr) < 1024
+        assert b"never occur, more than the 4 data rows" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
 
 class TestPolicyFiles:
     """A policy or fit-result JSON that lacks a field is refused, naming the file and the field."""
@@ -481,6 +502,14 @@ class TestPolicyDocumentFields:
         err = capsys.readouterr().err
         assert rc == 2, err
         assert f"{path}: the {variant} policy document says {message}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_hardened_theta_names_the_file(self, sim_csv, tmp_path, capsys):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps({"variant": "hardened_logistic", "payload": {"theta": [[np.nan, 0, 0, 0, 0, 0]]}}))
+        rc = main([*TestPolicyFiles._argv("evaluate", sim_csv, path), "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"error: {path}: theta must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

@@ -1,5 +1,6 @@
 import csv
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -118,11 +119,28 @@ class TestLoadDataset:
 
     def test_label_past_int64_fails_as_cell_by_cell(self, tmp_path):
         path = _write(tmp_path, "x0,name,t,y\n" + "1.0,a,1,2\n" * 3000 + "1.0,a,1e19,2\n")
-        with pytest.raises(OverflowError) as ref:
+        with pytest.raises(DatasetError) as ref:
             _reference_load(path, SCHEMA)
-        with pytest.raises(OverflowError) as got:
+        with pytest.raises(DatasetError) as got:
             load_dataset(path, SCHEMA)
         assert str(got.value) == str(ref.value)
+        assert "treatment value 1e+19 at data row 3001 is past the int64 range" in str(got.value)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            # 4 rows; 99,998 of the labels 0..100000 never occur.
+            ("1.0,0,1\n2.0,1,2\n3.0,0,3\n4.0,100000,4\n", "99998 of the labels 0..100000 never occur"),
+            # One unseen label more than rows; labels 3 and 0 leave 2 unseen, which is allowed.
+            ("1.0,4,0.5\n2.0,0,1.5\n", "3 of the labels 0..4 never occur, more than the 2 data rows"),
+        ],
+    )
+    def test_stray_label_refused_before_work_of_size_m(self, body, message, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetError, match=message) as got:
+                load_dataset(_write(tmp_path, "x0,t,y\n" + body), SCHEMA)
+        assert len(str(got.value)) < 300
 
 
 def _reference_load(path, schema):
@@ -145,6 +163,8 @@ def _reference_load(path, schema):
                 raise DatasetError(
                     f"{path}: treatment value {t!r} at data row {row_num} is not a non-negative integer"
                 )
+            if t >= 2.0**63:
+                raise DatasetError(f"{path}: treatment value {t!r} at data row {row_num} is past the int64 range")
             T.append(int(t))
             Y.append(_parse_cell(row[pos[schema.outcome]], schema.outcome, row_num))
             if schema.propensity:

@@ -25,7 +25,6 @@ from crpolicy import optimize
 from crpolicy.evaluation.estimators import worst_case_solution
 from crpolicy.exceptions import EmptyArmError, SolverError
 from crpolicy.optimize import _TreeBuilder, _restart_rng
-from crpolicy.policy import softmax_score_grad
 
 
 def balanced_dataset(seed, n=60, d=2, m=2, y=None):
@@ -505,7 +504,10 @@ def reference_subgradient_fit(data, spec, pi0, opts=FitOptions(), extra_inits=()
             norm = np.empty(data.n)
             for t in range(data.m):
                 norm[arms[t]] = W[arms[t]].sum()
-            g = softmax_score_grad(probs, data.T, (W / norm) * data.Y).T @ Z
+            # c_i d pi(T_i | X_i) / d s_u = c_i pi_T (1[T_i = u] - pi_u), u = 1..m-1
+            pT = probs[np.arange(data.n), data.T]
+            coef = ((W / norm) * data.Y * pT)[:, None] * ((data.T[:, None] == np.arange(1, data.m)) - probs[:, 1:])
+            g = coef.T @ Z
             if not np.all(np.isfinite(g)):
                 raise SolverError("non-finite subgradient")
             theta = theta - eta_k * g

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from crpolicy import (
     ConstantPolicy,
+    HardenedLogisticPolicy,
     LogisticPolicy,
     TreeLeaf,
     TreeNode,
@@ -241,3 +242,11 @@ class TestHarden:
     def test_requires_logistic(self):
         with pytest.raises(UnsupportedPolicyError):
             harden(ConstantPolicy(np.array([1.0, 0.0])))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_refused_at_construction(self, bad):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            HardenedLogisticPolicy(np.array([[0.0, bad]]))
+        doc = {"variant": "hardened_logistic", "payload": {"theta": [[bad, 0.0]]}}
+        with pytest.raises(ValueError, match="theta must be finite"):
+            policy_from_json(json.dumps(doc))
