@@ -31,13 +31,19 @@ from .policy import (
     policy_to_json,
     uniform_baseline,
 )
-from .optimize import FitOptions, FitResult, gamma_path_fit, subgradient_fit, tree_partition_fit
-from .evaluation import (
+from .optimize import (
     CalibrationMatrix,
+    FitOptions,
+    FitResult,
+    calibration_matrix,
+    gamma_path_fit,
+    subgradient_fit,
+    tree_partition_fit,
+)
+from .evaluation import (
     SimParamsBinary,
     SimParamsMulti,
     SimulatedData,
-    calibration_matrix,
     hajek_regret,
     ht_test_regret,
     ipw_value,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import ColumnSchema, Dataset, estimate_propensities, load_dataset
 from .exceptions import CRPolicyError
-from .optimize import FitOptions, FitResult, gamma_path_fit, subgradient_fit, tree_partition_fit
+from .optimize import FitOptions, FitResult, calibration_matrix, gamma_path_fit, subgradient_fit, tree_partition_fit
 from .policy import (
     ConstantPolicy,
     LogisticPolicy,
@@ -34,7 +34,6 @@ from .policy import (
 )
 from .uncertainty import UncertaintySpec
 from .evaluation import (
-    calibration_matrix,
     hajek_regret,
     ht_test_regret,
     ipw_value,
@@ -406,7 +405,10 @@ def _cmd_evaluate(cfg: dict) -> int:
         report["worst_case"][f"{gamma:g}"] = worst_case_regret(pol, pi0, data, spec)
     report["ipw_value"] = ipw_value(pol, data)
     if cfg.get("ht_probs"):
-        report["ht_test_regret"] = ht_test_regret(pol, pi0, data, np.asarray(cfg["ht_probs"], dtype=float))
+        try:
+            report["ht_test_regret"] = ht_test_regret(pol, pi0, data, np.asarray(cfg["ht_probs"], dtype=float))
+        except ValueError as exc:
+            raise CRPolicyError(f"--ht-probs: {exc}") from None
     if data.potential_Y is not None:
         report["true_regret"] = true_regret(pol, pi0, data)
     out_path = _out(cfg, "evaluation.json")
@@ -454,6 +456,8 @@ def _simulate_one(cfg: dict, gammas: List[float], rep: int):
 
 
 def _cmd_simulate(cfg: dict) -> int:
+    if cfg["reps"] < 1:
+        raise CRPolicyError(f"--reps must be >= 1, not {cfg['reps']}")
     gammas = _gammas(cfg)
     results = [_simulate_one(cfg, gammas, rep) for rep in range(cfg["reps"])]
     all_records = []

@@ -1,4 +1,4 @@
-"""Estimators, synthetic designs, calibration tooling, and report writers."""
+"""Estimators, synthetic designs, the odds-ratio audit, and report writers."""
 
 from .estimators import (
     hajek_regret,
@@ -15,7 +15,6 @@ from .simulation import (
     simulate_binary,
     simulate_multi,
 )
-from .calibration import CalibrationMatrix, calibration_matrix
 from .audit import odds_ratio_audit
 
 __all__ = [
@@ -30,7 +29,5 @@ __all__ = [
     "SimulatedData",
     "simulate_binary",
     "simulate_multi",
-    "CalibrationMatrix",
-    "calibration_matrix",
     "odds_ratio_audit",
 ]

@@ -11,8 +11,6 @@ one fractional subproblem per arm with r_i = (pi(T_i|X_i) - pi0(T_i|X_i)) Y_i.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..data import ArmIndex, Dataset
@@ -115,27 +113,14 @@ class ArmKernel:
         return out
 
 
-def worst_case_regret(
-    pol: Policy,
-    pi0: Policy,
-    data: Dataset,
-    spec: UncertaintySpec,
-    arms: Optional[ArmIndex] = None,
-) -> float:
+def worst_case_regret(pol: Policy, pi0: Policy, data: Dataset, spec: UncertaintySpec) -> float:
     """Supremum of the Hajek regret over the uncertainty set (sum of arm values)."""
-    return worst_case_weights(pol, pi0, data, spec, arms)[1]
+    return worst_case_weights(pol, pi0, data, spec)[1]
 
 
-def worst_case_weights(
-    pol: Policy,
-    pi0: Policy,
-    data: Dataset,
-    spec: UncertaintySpec,
-    arms: Optional[ArmIndex] = None,
-):
+def worst_case_weights(pol: Policy, pi0: Policy, data: Dataset, spec: UncertaintySpec):
     """Attaining weights W and the total worst-case regret, as (W, value)."""
-    r = _contrast(pol, pi0, data)
-    return worst_case_solution(r, spec, arms if arms is not None else data.arms())
+    return worst_case_solution(_contrast(pol, pi0, data), spec, data.arms())
 
 
 def ipw_value(pol: Policy, data: Dataset) -> float:
@@ -155,8 +140,8 @@ def ht_test_regret(pol: Policy, pi0: Policy, test: Dataset, p) -> float:
     p = np.asarray(p, dtype=float).reshape(-1)
     if p.shape[0] != test.m:
         raise ValueError(f"need {test.m} randomization probabilities, got {p.shape[0]}")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-8:
-        raise ValueError("randomization probabilities must be non-negative and sum to 1")
+    if not np.isfinite(p).all() or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-8:
+        raise ValueError("randomization probabilities must be finite, non-negative and sum to 1")
     observed = np.unique(test.T)
     if np.any(p[observed] <= 0.0):
         bad = int(observed[np.argmax(p[observed] <= 0.0)])

@@ -1,12 +1,17 @@
-"""Stable CSV/JSON layouts for experiment outputs.
+"""Stable CSV/JSON layouts for experiment outputs, fixed so downstream
+plotting scripts can rely on them. Every file the CLI writes, by command:
 
-Column layouts are fixed so downstream plotting scripts can rely on them:
-
-* dataset CSV: x0..x{d-1}, t, y [, e_nominal, w_star, y_cf0..y_cf{m-1}]
-* regret curves CSV: method, gamma, rep, true_regret
-* calibration CSV: first column train_gamma, then eval_<gamma> per grid point
-* audit CSV: one covariate column per audited feature, one row per unit
-* summary JSON: list of {method, gamma, mean_regret, stderr, n_reps}
+* fit: fit.json, {policy, objective, fell_back, gamma, options, per_restart}
+  of the first gamma's `FitResult`; with more gammas also gamma_path.csv:
+  gamma, objective, fell_back (0/1), policy_json, one row per gamma
+* evaluate: evaluation.json, {n, m, baseline, hajek_nominal, worst_case:
+  {gamma: value}, ipw_value [, ht_test_regret] [, true_regret]}
+* simulate: dataset_rep{rep:03d}.csv per replication, a dataset CSV:
+  x0..x{d-1}, t, y [, e_nominal, w_star, y_cf0..y_cf{m-1}];
+  regret_curves.csv: method, gamma, rep, true_regret; summary.json: list
+  of {method, gamma, mean_regret, stderr, n_reps}
+* calibrate: calibration.csv: train_gamma, then eval_<gamma> per grid point
+* audit: audit_odds_ratios.csv: one column per audited covariate, one row per unit
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..data import Dataset
-from .calibration import CalibrationMatrix
 
 __all__ = [
     "dataset_rows",
@@ -69,7 +73,8 @@ def write_regret_curves_csv(path, records: Sequence[dict]) -> None:
             w.writerow([rec["method"], _fmt(rec["gamma"]), str(int(rec["rep"])), _fmt(rec["true_regret"])])
 
 
-def write_calibration_csv(path, matrix: CalibrationMatrix) -> None:
+def write_calibration_csv(path, matrix) -> None:
+    """matrix: a `CalibrationMatrix` (gammas and the square values)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["train_gamma"] + [f"eval_{g:g}" for g in matrix.gammas])

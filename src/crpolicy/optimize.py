@@ -6,18 +6,19 @@ weight subproblem exactly, then steps against the resulting subgradient of
 the worst-case regret. The restarts advance together as one stacked
 iterate, in blocks, and end exactly where runs one after another would.
 `gamma_path_fit` chains fits over an ascending sensitivity grid with warm
-starts and cross-gamma objective checks. `tree_partition_fit` greedily
-grows an axis-aligned decision tree, taking at each leaf the split that
-most lowers the robust objective of the whole tree: one batched sweep per
-(feature, side, arm) screens every candidate split of the leaf, and the
-exact objective confirms the few screened within roundoff of the best, so
-the choice is the one an exact scan makes.
+starts and cross-gamma objective checks, which `calibration_matrix`
+reports. `tree_partition_fit` greedily grows an axis-aligned decision
+tree, taking at each leaf the split that most lowers the robust objective
+of the whole tree: one batched sweep per (feature, side, arm) screens
+every candidate split of the leaf, and the exact objective confirms the
+few screened within roundoff of the best, so the choice is the one an
+exact scan makes.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,7 +41,15 @@ from .subproblem import solve_box  # noqa: F401
 from .uncertainty import UncertaintySpec
 from .evaluation.estimators import ArmKernel, _arm_parts, worst_case_regret, worst_case_solution
 
-__all__ = ["FitOptions", "FitResult", "subgradient_fit", "gamma_path_fit", "tree_partition_fit"]
+__all__ = [
+    "FitOptions",
+    "FitResult",
+    "subgradient_fit",
+    "gamma_path_fit",
+    "tree_partition_fit",
+    "CalibrationMatrix",
+    "calibration_matrix",
+]
 
 
 @dataclass(frozen=True)
@@ -66,14 +75,16 @@ class FitOptions:
     radius: Optional[float] = None
 
     def __post_init__(self):
-        if self.eta0 <= 0:
-            raise ValueError("eta0 must be positive")
+        if not 0 < self.eta0 < np.inf:
+            raise ValueError("eta0 must be positive and finite")
         if not 0 < self.kappa <= 1:
             raise ValueError("kappa must lie in (0, 1]")
         if self.iters < 1 or self.restarts < 1:
             raise ValueError("iters and restarts must be >= 1")
-        if self.init_scale < 0:
-            raise ValueError("init_scale must be >= 0")
+        if not 0 <= self.init_scale < np.inf:
+            raise ValueError("init_scale must be finite and >= 0")
+        if self.radius is not None and not 0 < self.radius < np.inf:
+            raise ValueError("radius must be None, or positive and finite")
 
 
 @dataclass(frozen=True)
@@ -124,6 +135,14 @@ class FitResult:
         )
 
 
+def _certified(policy: Policy, objective: float, pi0: Policy, fallback: bool, **fit_fields) -> FitResult:
+    """`policy` at its worst-case regret `objective`, or, with fallback on and that regret
+    positive, the baseline at objective 0: always feasible, so no fit certifies worse."""
+    if fallback and objective > 0.0:
+        return FitResult(policy=pi0, objective=0.0, fell_back=True, **fit_fields)
+    return FitResult(policy=policy, objective=objective, fell_back=False, **fit_fields)
+
+
 def _restart_rng(seed: int, restart: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(restart,)))
 
@@ -168,7 +187,7 @@ class _SubgradientProblem:
         return avg
 
     def objective(self, pol: Policy) -> float:
-        return worst_case_regret(pol, self.pi0, self.data, self.spec, arms=self.arms)
+        return worst_case_regret(pol, self.pi0, self.data, self.spec)
 
 
 def subgradient_fit(
@@ -181,9 +200,8 @@ def subgradient_fit(
     """Learn a logistic policy minimizing the worst-case Hajek regret.
 
     Each restart returns its iterate average; the restart whose average
-    attains the smallest recomputed objective wins. With fallback enabled a
-    positive best objective is replaced by the baseline policy (objective 0),
-    since the baseline is always feasible.
+    attains the smallest recomputed objective wins, unless `_certified`
+    falls back to the baseline.
 
     extra_inits prepends additional warm-start parameter blocks (used by the
     gamma path); they run after restart 0 and before the random restarts.
@@ -212,15 +230,8 @@ def subgradient_fit(
         per_restart.extend((problem.objective(LogisticPolicy(th)), th) for th in thetas)
 
     best_obj, best_theta = min(per_restart, key=lambda pr: pr[0])
-    fell_back = opts.fallback_to_baseline and best_obj > 0.0
-    return FitResult(
-        policy=pi0 if fell_back else LogisticPolicy(best_theta),
-        objective=0.0 if fell_back else best_obj,
-        per_restart=tuple(per_restart),
-        fell_back=fell_back,
-        gamma=spec.gamma,
-        options=opts,
-    )
+    return _certified(LogisticPolicy(best_theta), best_obj, pi0, opts.fallback_to_baseline,
+                      per_restart=tuple(per_restart), gamma=spec.gamma, options=opts)
 
 
 def gamma_path_fit(
@@ -279,18 +290,51 @@ def _gamma_path(data, gammas, pi0, opts, rho):
     # Cross-gamma check: each grid entry keeps the best candidate for its own
     # gamma (the appendix's replace-by-previous rule, applied symmetrically so
     # the reported objectives are nondecreasing), with fallback on top.
-    results: List[FitResult] = []
-    rows: List[List[float]] = []
-    for i in range(len(gammas)):
+    results, rows = [], []
+    for i, fit in enumerate(fits):
         best_c = min(range(len(candidates)), key=lambda c: cross[c][i])
-        obj = cross[best_c][i]
-        if opts.fallback_to_baseline and obj > 0.0:
-            results.append(replace(fits[i], policy=pi0, objective=0.0, fell_back=True))
-            rows.append([0.0] * len(gammas))
-        else:
-            results.append(replace(fits[i], policy=candidates[best_c], objective=obj, fell_back=False))
-            rows.append(cross[best_c])
+        res = _certified(candidates[best_c], cross[best_c][i], pi0, opts.fallback_to_baseline,
+                         per_restart=fit.per_restart, gamma=fit.gamma, options=fit.options)
+        results.append(res)
+        rows.append([0.0] * len(gammas) if res.fell_back else cross[best_c])
     return results, rows
+
+
+@dataclass(frozen=True)
+class CalibrationMatrix:
+    """values[k][k'] = worst-case regret of the gamma_k policy under gamma_k'.
+
+    Uncertainty sets are nested in gamma, so every row is nondecreasing,
+    and the diagonal coincides with the fits' reported objectives.
+    """
+
+    gammas: np.ndarray
+    values: np.ndarray
+    policies: tuple = ()
+
+    def __post_init__(self):
+        g = np.asarray(self.gammas, dtype=float)
+        v = np.asarray(self.values, dtype=float)
+        if v.shape != (g.size, g.size):
+            raise ValueError(f"values must be {g.size}x{g.size}")
+        object.__setattr__(self, "gammas", g)
+        object.__setattr__(self, "values", v)
+
+
+def calibration_matrix(
+    data: Dataset,
+    gammas: Sequence[float],
+    pi0: Policy,
+    opts: Optional[FitOptions] = None,
+    rho: Optional[float] = None,
+) -> CalibrationMatrix:
+    """Train at each gamma_k, stress-test at every gamma_k': the gamma path's cross-gamma check."""
+    fits, rows = _gamma_path(data, gammas, pi0, opts if opts is not None else FitOptions(), rho)
+    return CalibrationMatrix(
+        gammas=np.asarray(list(gammas), dtype=float),
+        values=np.array(rows, dtype=float).reshape(len(fits), len(fits)),
+        policies=tuple(fit.policy for fit in fits),
+    )
 
 
 # Entries of one block of a screening sweep, (row, item), or of stacked
@@ -536,6 +580,4 @@ def tree_partition_fit(
     root, obj = builder.grow(np.arange(data.n), depth, obj)
     policy = TreePolicy(root=root, m=data.m, d=data.d)
     objective = worst_case_regret(policy, pi0, data, spec)
-    if fallback_to_baseline and objective > 0.0:
-        return FitResult(policy=pi0, objective=0.0, fell_back=True, gamma=spec.gamma)
-    return FitResult(policy=policy, objective=objective, fell_back=False, gamma=spec.gamma)
+    return _certified(policy, objective, pi0, fallback_to_baseline, gamma=spec.gamma)

@@ -48,7 +48,7 @@ class Policy:
     def prob(self, t: int, x: np.ndarray) -> float:
         if not 0 <= t < self.m:
             raise IndexError(f"arm {t} out of range for m={self.m}")
-        return float(self.prob_matrix(np.atleast_2d(np.asarray(x, dtype=float)))[0, t])
+        return float(self.prob_matrix(_one_unit(self, x))[0, t])
 
     def observed_prob(self, X: np.ndarray, T: np.ndarray) -> np.ndarray:
         """pi(T_i | X_i) for each row."""
@@ -56,11 +56,21 @@ class Policy:
         return probs[np.arange(len(T)), np.asarray(T, dtype=np.int64)]
 
 
+def _one_unit(pol: Policy, x) -> np.ndarray:
+    """x as one unit's (1, d) covariates; d is not checked for a constant policy, which reads none."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.ndim != 2 or x.shape[0] != 1:
+        raise ValueError(f"x must be one unit's covariates, got an array of shape {x.shape}")
+    if not isinstance(pol, ConstantPolicy) and x.shape[1] != pol.d:
+        raise ValueError(f"x has {x.shape[1]} covariates, the policy reads {pol.d}")
+    return x
+
+
 def _check_simplex(p: np.ndarray, m: int) -> np.ndarray:
     p = np.asarray(p, dtype=float).reshape(-1)
     if p.shape[0] != m:
         raise ValueError(f"probability vector has length {p.shape[0]}, expected {m}")
-    if p.min() < 0 or abs(p.sum() - 1.0) > 1e-9:
+    if not np.isfinite(p).all() or p.min() < 0 or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError(f"not a probability vector: {p}")
     return p
 
@@ -228,7 +238,7 @@ def policy_gradient(pol: Policy, t: int, x) -> np.ndarray:
         )
     if not 0 <= t < pol.m:
         raise IndexError(f"arm {t} out of range for m={pol.m}")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = _one_unit(pol, x)
     probs = pol.prob_matrix(x)
     coef = score_grad_at(probs, np.ones(1), probs[:, t], one_hot_arms(np.array([t]), pol.m))
     return np.outer(coef[0], _design_matrix(x)[0])

@@ -311,6 +311,26 @@ class TestConfigAndErrors:
         assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("given", [["--reps", "-1"], ["--reps", "0"], {"reps": 0}])
+    def test_reps_below_one_refused(self, given, tmp_path, capsys):
+        # No run can honour them, so nothing is written.
+        if isinstance(given, dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(given))
+            given = ["--config", str(cfg)]
+        assert main(["simulate", *given, "--output-dir", str(tmp_path / "out")]) == 2
+        assert "--reps must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--eta0", "nan"), ("--eta0", "inf"), ("--init-scale", "inf")])
+    def test_fit_option_no_fit_can_honour_refused_up_front(self, flag, value, sim_csv, tmp_path, capsys):
+        argv = ["fit", *_data_args(sim_csv), "--gamma", "1.0", flag, value]
+        rc = main([*argv, "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert flag[2:].replace("-", "_") + " must be" in err and "gamma path failed" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["audit", "--input", str(tmp_path / "none.csv"), "--covariates", "x0",
                    "--treatment-col", "t", "--outcome-col", "y", "--output-dir", str(tmp_path)])
@@ -389,6 +409,20 @@ class TestPolicyFiles:
             given = ["--config", str(cfg)]
         assert main([*argv, *given]) == 2
         assert "--ht-probs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("given", [["--ht-probs", "nan,1"], ["--ht-probs", "0.5,inf"], {"ht_probs": ["nan", 1]}])
+    def test_non_finite_ht_probs(self, given, sim_csv, tmp_path, capsys):
+        # Refused before evaluation.json is written: JSON has no NaN.
+        policy = tmp_path / "policy.json"
+        policy.write_text(policy_to_json(uniform_baseline(2)))
+        argv = [*self._argv("evaluate", sim_csv, policy), "--output-dir", str(tmp_path / "out")]
+        if isinstance(given, dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(given))
+            given = ["--config", str(cfg)]
+        assert main([*argv, *given]) == 2
+        assert "error: --ht-probs: randomization probabilities must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -510,6 +544,22 @@ class TestPolicyDocumentFields:
         rc = main([*TestPolicyFiles._argv("evaluate", sim_csv, path), "--output-dir", str(tmp_path / "out")])
         assert rc == 2
         assert f"error: {path}: theta must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"variant": "constant", "payload": {"p": [np.nan, 1.0]}},
+            _tree_doc({"feature": 0, "threshold": 0.0, "left": {"leaf": [1.0, 0.0]}, "right": {"leaf": [np.nan, 1.0]}}),
+        ],
+    )
+    def test_non_finite_probabilities_name_the_file(self, doc, sim_csv, tmp_path, capsys):
+        # Refused at load, where the error can name the file.
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(doc))
+        rc = main([*TestPolicyFiles._argv("evaluate", sim_csv, path), "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"error: {path}: not a probability vector" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

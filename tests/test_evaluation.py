@@ -322,6 +322,12 @@ class TestHorvitzThompson:
         with pytest.raises(ValueError, match="arm"):
             ht_test_regret(TREAT_ALL, NEVER_TREAT, data, [1.0, 0.0])
 
+    @pytest.mark.parametrize("p", [[np.nan, 1.0], [0.5, np.nan], [np.inf, 1.0], [-np.inf, np.inf]])
+    def test_non_finite_probabilities_refused(self, p):
+        data = Dataset(X=np.zeros((2, 1)), T=[1, 0], Y=[1.0, 2.0], m=2)
+        with pytest.raises(ValueError, match="must be finite"):
+            ht_test_regret(TREAT_ALL, NEVER_TREAT, data, p)
+
 
 class TestTrueRegret:
     def _sim_data(self):

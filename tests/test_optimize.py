@@ -120,6 +120,20 @@ class TestSubgradientFit:
         )
         assert np.linalg.norm(res.policy.theta) <= 0.5 + 1e-9
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("eta0", np.nan), ("eta0", np.inf), ("eta0", 0.0), ("init_scale", np.inf), ("init_scale", np.nan),
+         ("init_scale", -1.0), ("radius", -1.0), ("radius", 0.0), ("radius", np.nan), ("radius", np.inf)],
+    )
+    def test_options_no_fit_can_honour_refused(self, field, value):
+        # A negative radius would flip theta's sign at each projection, a NaN one project nothing.
+        with pytest.raises(ValueError, match=field):
+            FitOptions(**{field: value})
+
+    def test_options_at_their_bounds_accepted(self):
+        FitOptions(eta0=1e-300, init_scale=0.0, radius=1e-300)
+        FitOptions(radius=None)
+
     def test_result_json_roundtrip(self):
         data = balanced_dataset(8)
         spec = UncertaintySpec.from_dataset(data, 1.4)
@@ -517,7 +531,7 @@ def reference_subgradient_fit(data, spec, pi0, opts=FitOptions(), extra_inits=()
                     theta = theta * (opts.radius / length)
             avg += theta
         theta_bar = avg / opts.iters
-        obj = worst_case_regret(LogisticPolicy(theta_bar), pi0, data, spec, arms=arms)
+        obj = worst_case_regret(LogisticPolicy(theta_bar), pi0, data, spec)
         per_restart.append((obj, theta_bar))
         if obj < per_restart[best_idx][0]:
             best_idx = j

@@ -80,6 +80,35 @@ class TestProbabilities:
         with pytest.raises(ValueError):
             ConstantPolicy(np.array([0.5, 0.6]))
 
+    def test_non_finite_probabilities_refused(self):
+        for p in ([np.nan, 1.0], [np.inf, 1.0], [0.5, -np.inf]):
+            with pytest.raises(ValueError, match="not a probability vector"):
+                ConstantPolicy(np.array(p))
+            with pytest.raises(ValueError, match="not a probability vector"):
+                TreeLeaf(np.array(p))
+        with pytest.raises(ValueError, match="not a probability vector"):
+            policy_from_json('{"variant": "constant", "payload": {"p": [NaN, 1.0]}}')
+
+    def test_one_unit_only(self):
+        pol = LogisticPolicy(np.array([[0.3, 1.0]]))
+        with pytest.raises(ValueError, match="one unit"):
+            policy_probability(pol, 1, [[0.5], [2.0]])
+        assert policy_probability(pol, 1, [[0.5]]) == policy_probability(pol, 1, [0.5])
+
+    def test_covariate_count_must_match(self):
+        leaves = TreeLeaf(np.array([1.0, 0.0])), TreeLeaf(np.array([0.0, 1.0]))
+        tree = TreePolicy(root=TreeNode(0, 0.0, *leaves), m=2, d=2)
+        logistic = LogisticPolicy(np.zeros((1, 2)))
+        for pol, x in ((logistic, [0.5, 2.0]), (harden(logistic), []), (tree, [0.1]), (tree, [0.1, 0.2, 0.3])):
+            with pytest.raises(ValueError, match="covariates, the policy reads"):
+                policy_probability(pol, 0, x)
+        # A constant policy reads no covariates, so any one unit will do.
+        assert policy_probability(ConstantPolicy(np.array([0.2, 0.8])), 1, [1.0, 2.0, 3.0]) == 0.8
+
+    def test_arm_range_checked_before_x(self):
+        with pytest.raises(IndexError):
+            policy_probability(LogisticPolicy(np.zeros((1, 2))), 2, [[0.5], [2.0]])
+
     def test_baselines(self):
         assert control_baseline(3).p.tolist() == [1.0, 0.0, 0.0]
         assert uniform_baseline(4).p.tolist() == [0.25] * 4
@@ -126,6 +155,20 @@ class TestGradient:
     def test_non_logistic_rejected(self):
         with pytest.raises(UnsupportedPolicyError):
             policy_gradient(ConstantPolicy(np.array([1.0, 0.0])), 0, np.zeros(1))
+
+    def test_one_unit_only(self):
+        pol = LogisticPolicy(np.array([[0.3, 1.0]]))
+        with pytest.raises(ValueError, match="one unit"):
+            policy_gradient(pol, 1, [[0.5], [2.0]])
+        with pytest.raises(ValueError, match="covariates, the policy reads"):
+            policy_gradient(pol, 1, [0.5, 2.0])
+        assert np.array_equal(policy_gradient(pol, 1, [[0.5]]), policy_gradient(pol, 1, [0.5]))
+
+    def test_policy_type_and_arm_range_checked_before_x(self):
+        with pytest.raises(UnsupportedPolicyError):
+            policy_gradient(ConstantPolicy(np.array([1.0, 0.0])), 0, [[0.5], [2.0]])
+        with pytest.raises(IndexError):
+            policy_gradient(LogisticPolicy(np.array([[0.3, 1.0]])), 2, [[0.5], [2.0]])
 
 
 class TestSerialization:
