@@ -15,7 +15,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -54,7 +53,19 @@ from .evaluation.reports import (
     write_summary_json,
 )
 
+# The subgradient settings, by dest, with their help: each is the FitOptions
+# field of the same name, whose default is the flag's type and default.
+_FITTING = {
+    "restarts": "subgradient restarts",
+    "iters": "subgradient iterations per restart",
+    "eta0": "initial step size",
+    "kappa": "step schedule exponent in (0,1]",
+    "init_scale": "restart init std-dev",
+    "seed": "random seed",
+}
+
 _DEFAULTS = {
+    **{name: getattr(FitOptions(), name) for name in _FITTING},
     "output_dir": ".",
     "gamma": [1.0],
     "log_gamma": False,
@@ -64,12 +75,6 @@ _DEFAULTS = {
     "policy": "logistic",
     "depth": 2,
     "min_leaf": 10,
-    "restarts": 5,
-    "iters": 500,
-    "eta0": 1.0,
-    "kappa": 0.5,
-    "seed": 0,
-    "init_scale": 1.0,
     "no_fallback": False,
     "reps": 50,
     "preset": "binary-sec7",
@@ -137,12 +142,8 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
         if "tree" in policies:
             p.add_argument("--depth", type=int, help="tree depth (policy=tree)")
             p.add_argument("--min-leaf", dest="min_leaf", type=int, help="minimum units per leaf (policy=tree)")
-        p.add_argument("--restarts", type=int, help="subgradient restarts")
-        p.add_argument("--iters", type=int, help="subgradient iterations per restart")
-        p.add_argument("--eta0", type=float, help="initial step size")
-        p.add_argument("--kappa", type=float, help="step schedule exponent in (0,1]")
-        p.add_argument("--init-scale", dest="init_scale", type=float, help="restart init std-dev")
-        p.add_argument("--seed", type=int, help="random seed")
+        for name, text in _FITTING.items():
+            p.add_argument(_flag(name), dest=name, type=type(_DEFAULTS[name]), help=text)
         p.add_argument(
             "--no-fallback",
             dest="no_fallback",
@@ -206,7 +207,7 @@ def _flag(dest: str) -> str:
 _READ_ONLY_WITH = {
     "depth": ("policy", "tree"),
     "min_leaf": ("policy", "tree"),
-    **dict.fromkeys(("restarts", "iters", "eta0", "kappa", "init_scale", "seed"), ("policy", "logistic")),
+    **dict.fromkeys(_FITTING, ("policy", "logistic")),
     "baseline_file": ("baseline", "file"),
     "clip_eps": ("propensity_col", None),
 }
@@ -276,6 +277,10 @@ def _gammas(cfg: dict) -> List[float]:
         raise CRPolicyError("every gamma must be >= 1 (after exp when --log-gamma)")
     if any(g2 <= g1 for g1, g2 in zip(gammas, gammas[1:])):
         raise CRPolicyError("--gamma values must be strictly ascending")
+    # Outputs label a gamma by %g, which rounds monotonically: only neighbours can share a label.
+    for g1, g2 in zip(gammas, gammas[1:]):
+        if f"{g1:g}" == f"{g2:g}":
+            raise CRPolicyError(f"--gamma values {g1!r} and {g2!r} share the output label {g1:g}")
     return gammas
 
 
@@ -331,15 +336,13 @@ def _for_data(pol: Policy, data: Dataset, path: str) -> Policy:
 
 
 def _fit_options(cfg: dict) -> FitOptions:
-    return FitOptions(
-        eta0=cfg["eta0"],
-        kappa=cfg["kappa"],
-        iters=cfg["iters"],
-        restarts=cfg["restarts"],
-        seed=cfg["seed"],
-        init_scale=cfg["init_scale"],
-        fallback_to_baseline=not cfg["no_fallback"],
-    )
+    """cfg's FitOptions; a setting that FitOptions refuses is named by its flag."""
+    for name in _FITTING:
+        try:
+            FitOptions(**{name: cfg[name]})
+        except ValueError as exc:
+            raise CRPolicyError(f"{_flag(name)}: {exc}") from None
+    return FitOptions(**{name: cfg[name] for name in _FITTING}, fallback_to_baseline=not cfg["no_fallback"])
 
 
 def _out(cfg: dict, name: str) -> str:
@@ -423,26 +426,22 @@ def _rep_seed(seed: int, rep: int, stream: int = 0) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(rep, stream)).generate_state(1)[0])
 
 
-def _simulate_one(cfg: dict, gammas: List[float], rep: int):
+def _simulate_one(cfg: dict, gammas: List[float], opts: FitOptions, rep: int):
     binary = cfg["preset"] == "binary-sec7"
     generate, params = (simulate_binary, SimParamsBinary) if binary else (simulate_multi, SimParamsMulti)
-    sim = generate(params(n=cfg["n"], seed=_rep_seed(cfg["seed"], rep)))
+    sim = generate(params(n=cfg["n"], seed=_rep_seed(opts.seed, rep)))
     # Learned policies are scored out of sample on a fresh draw with known
     # counterfactuals, mirroring the replication design.
-    test = generate(params(n=cfg["test_n"], seed=_rep_seed(cfg["seed"], rep, stream=1))).data
+    test = generate(params(n=cfg["test_n"], seed=_rep_seed(opts.seed, rep, stream=1))).data
     data = sim.data
     pi0 = _baseline(cfg, data)
-    opts = _fit_options(cfg)
     rho = cfg.get("rho")
 
-    # Naive comparator: gamma = 1 fit without fallback (assumes no confounding).
-    # A grid from gamma = 1 has made that fit first: its best restart is the one.
+    # Naive comparator: the best restart of the gamma = 1 fit, fallback aside
+    # (assumes no confounding). A grid from gamma = 1 has made that fit first.
     robust = gamma_path_fit(data, gammas, pi0, opts)
-    if gammas[0] == 1.0:
-        naive = LogisticPolicy(min(robust[0].per_restart, key=lambda pr: pr[0])[1])
-    else:
-        spec1 = UncertaintySpec.from_dataset(data, 1.0)
-        naive = subgradient_fit(data, spec1, pi0, replace(opts, fallback_to_baseline=False)).policy
+    one = robust[0] if gammas[0] == 1.0 else subgradient_fit(data, UncertaintySpec.from_dataset(data, 1.0), pi0, opts)
+    naive = LogisticPolicy(min(one.per_restart, key=lambda pr: pr[0])[1])
     methods = [("ipw-logistic", [naive] * len(gammas)), ("robust-logistic", [fit.policy for fit in robust])]
     if rho is not None:
         budgeted = gamma_path_fit(data, gammas, pi0, opts, rho=rho)
@@ -456,10 +455,11 @@ def _simulate_one(cfg: dict, gammas: List[float], rep: int):
 
 
 def _cmd_simulate(cfg: dict) -> int:
-    if cfg["reps"] < 1:
-        raise CRPolicyError(f"--reps must be >= 1, not {cfg['reps']}")
-    gammas = _gammas(cfg)
-    results = [_simulate_one(cfg, gammas, rep) for rep in range(cfg["reps"])]
+    for key in ("reps", "n", "test_n"):
+        if cfg[key] < 1:
+            raise CRPolicyError(f"{_flag(key)} must be >= 1, not {cfg[key]}")
+    gammas, opts = _gammas(cfg), _fit_options(cfg)
+    results = [_simulate_one(cfg, gammas, opts, rep) for rep in range(cfg["reps"])]
     all_records = []
     for rep, (sim, records) in enumerate(results):
         write_dataset_csv(_out(cfg, f"dataset_rep{rep:03d}.csv"), sim.data, w_star=sim.w_star)

@@ -338,6 +338,11 @@ def _design_matrix(X: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((n, 1)), X])
 
 
+def _propensity_scores(Z: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The propensity model's arm scores [0, Z theta^T]: arm 0 is the reference at 0."""
+    return np.hstack([np.zeros((Z.shape[0], 1)), Z @ theta.T])
+
+
 def fit_multinomial_logit(
     X: np.ndarray,
     T: np.ndarray,
@@ -367,7 +372,7 @@ def fit_multinomial_logit(
     delta = one_hot_arms(T, m)
 
     def nll(th: np.ndarray) -> float:
-        scores = np.hstack([np.zeros((n, 1)), Z @ th.T])
+        scores = _propensity_scores(Z, th)
         logz = np.log(np.exp(scores - scores.max(axis=1, keepdims=True)).sum(axis=1))
         logz += scores.max(axis=1)
         return float(np.sum(logz - scores[np.arange(n), T]))
@@ -376,7 +381,7 @@ def fit_multinomial_logit(
     current = nll(theta)
     grad_norm = np.inf
     for _ in range(max_iter):
-        probs = softmax(np.hstack([np.zeros((n, 1)), Z @ theta.T]))
+        probs = softmax(_propensity_scores(Z, theta))
         grad = Z.T @ (probs[:, 1:] - delta)  # (p, m-1)
         grad_norm = float(np.abs(grad).max())
         if grad_norm <= grad_tol * scale:
@@ -409,9 +414,7 @@ def fit_multinomial_logit(
 
 def propensity_matrix(X: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Fitted arm probabilities, one row per unit; rows sum to 1."""
-    n = X.shape[0]
-    Z = _design_matrix(np.asarray(X, dtype=float))
-    return softmax(np.hstack([np.zeros((n, 1)), Z @ theta.T]))
+    return softmax(_propensity_scores(_design_matrix(np.asarray(X, dtype=float)), theta))
 
 
 def estimate_propensities(data: Dataset, clip_eps: float = 1e-3, max_iter: int = 100) -> np.ndarray:

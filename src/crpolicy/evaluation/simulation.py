@@ -26,15 +26,6 @@ __all__ = [
 ]
 
 
-def _sigmoid(z):
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 @dataclass(frozen=True)
 class SimParamsBinary:
     """Binary-treatment design: constant effect alpha plus a linear interaction.
@@ -116,7 +107,7 @@ def simulate_binary(params: SimParamsBinary) -> SimulatedData:
     y1 = base + X @ p.beta_treat + p.alpha
     g = (y1 < y0).astype(np.int64)
 
-    e_treat = _sigmoid(p.beta_prop[0] + X @ p.beta_prop[1:])
+    e_treat = softmax(np.column_stack([np.zeros(n), p.beta_prop[0] + X @ p.beta_prop[1:]]))[:, 1]
     # True inverse weight of the *treated* arm: (4 + 5g + e(2 - 5g)) / (6e)
     # for gamma_true = 1.5; in general it equals the g-selected bound.
     w_tilde_treat = 1.0 / e_treat

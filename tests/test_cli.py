@@ -331,6 +331,62 @@ class TestConfigAndErrors:
         assert flag[2:].replace("-", "_") + " must be" in err and "gamma path failed" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, given, message",
+        [
+            ("simulate", ["--n", "0"], "--n must be >= 1, not 0"),
+            ("simulate", ["--n", "-5"], "--n must be >= 1, not -5"),
+            ("simulate", ["--test-n", "0"], "--test-n must be >= 1, not 0"),
+            ("simulate", {"test_n": 0}, "--test-n must be >= 1, not 0"),
+            ("simulate", ["--kappa", "1.5"], "--kappa: kappa must lie in (0, 1]"),
+            ("fit", ["--eta0", "nan"], "--eta0: eta0 must be positive and finite"),
+            ("fit", {"eta0": -1.0}, "--eta0: eta0 must be positive and finite"),
+            ("fit", ["--iters", "0"], "--iters: "),
+            ("fit", {"restarts": 0}, "--restarts: "),
+            ("fit", ["--init-scale", "-1"], "--init-scale: init_scale must be"),
+            ("calibrate", ["--kappa", "0"], "--kappa: kappa must lie in (0, 1]"),
+        ],
+    )
+    def test_refusal_names_the_option(self, command, given, message, sim_csv, tmp_path, capsys):
+        # From a flag or from the config, a value refused below the CLI is named by its flag.
+        if isinstance(given, dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(given))
+            given = ["--config", str(cfg)]
+        data = [] if command == "simulate" else [*_data_args(sim_csv), "--gamma", "1.0,1.5"]
+        assert main([command, *data, *given, "--output-dir", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate", "calibrate", "simulate"])
+    @pytest.mark.parametrize(
+        "grid, pair",
+        [
+            (["--gamma", "1.0000001,1.0000002,1.5"], "1.0000001 and 1.0000002"),
+            (["--gamma", "1.5,2.0000001,2.0000002"], "2.0000001 and 2.0000002"),
+            ({"gamma": [1.0000001, 1.0000002]}, "1.0000001 and 1.0000002"),
+            (["--gamma", "0,1e-9", "--log-gamma"], "1.0 and 1.000000001"),
+        ],
+    )
+    def test_gammas_sharing_an_output_label_refused(self, command, grid, pair, sim_csv, tmp_path, capsys):
+        # Outputs label a gamma by %g: two such gammas would share one key or column.
+        if isinstance(grid, dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(grid))
+            grid = ["--config", str(cfg)]
+        policy = tmp_path / "policy.json"
+        policy.write_text(policy_to_json(uniform_baseline(2)))
+        argv = {
+            "fit": ["fit", *_data_args(sim_csv), "--iters", "3"],
+            "evaluate": ["evaluate", *_data_args(sim_csv), "--policy-file", str(policy)],
+            "calibrate": ["calibrate", *_data_args(sim_csv), "--iters", "3"],
+            "simulate": ["simulate", "--reps", "1", "--n", "60", "--test-n", "100", "--iters", "3"],
+        }[command]
+        assert main([*argv, *grid, "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "--gamma" in err and pair in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["audit", "--input", str(tmp_path / "none.csv"), "--covariates", "x0",
                    "--treatment-col", "t", "--outcome-col", "y", "--output-dir", str(tmp_path)])

@@ -26,6 +26,7 @@ from crpolicy import (
     worst_case_regret,
     worst_case_weights,
 )
+from crpolicy.data import softmax
 from crpolicy.evaluation.estimators import ArmKernel, worst_case_solution
 from crpolicy.exceptions import EmptyArmError
 from oracles import oracle_box
@@ -399,6 +400,29 @@ class TestSimulateBinary:
         expected = sim.data.X @ p.beta_treat + p.alpha
         assert np.allclose(effect, expected, atol=1e-12)
         assert np.array_equal(sim.g, (effect < 0).astype(int))
+
+    @staticmethod
+    def _two_branch_sigmoid(z):
+        """The generator's former logistic link, the reference for softmax of [0, z]."""
+        out = np.empty_like(z, dtype=float)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 800.0])
+    def test_softmax_of_zero_and_z_is_the_two_branch_sigmoid(self, scale):
+        edges = [0.0, -0.0, 1e-300, -1e-300, 709.0, -709.0, 800.0, -800.0]
+        z = np.concatenate([edges, scale * np.random.default_rng(17).standard_normal(10**5)])
+        got = softmax(np.column_stack([np.zeros_like(z), z]))[:, 1]
+        assert got.tobytes() == self._two_branch_sigmoid(z).tobytes()
+
+    def test_nominal_propensity_bits(self):
+        p = SimParamsBinary(n=3000, seed=8)
+        sim = simulate_binary(p)
+        z = p.beta_prop[0] + sim.data.X @ p.beta_prop[1:]
+        assert sim.e_treat.tobytes() == self._two_branch_sigmoid(z).tobytes()
 
     def test_deterministic(self):
         s1 = simulate_binary(SimParamsBinary(n=100, seed=7))

@@ -1,4 +1,5 @@
-"""Byte pins on the CLI's outputs: small commands, each output file's sha256.
+"""Byte pins on the CLI's outputs: small commands, each output file's sha256,
+and each subcommand's --help text at a fixed terminal width.
 
 A change that keeps the outputs (a speed-up, a refactor) must leave every
 digest here as it is. The digests were recorded with the Python and numpy
@@ -19,6 +20,7 @@ import json
 import os
 import platform
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -84,6 +86,7 @@ def _commands(tmp):
             "evaluate", *inp("box"), "--gamma", "1,1.5", "--policy-file", os.path.join(tmp, "policy.json"),
             "--baseline", "uniform",
         ],
+        "audit": ["audit", *inp("tree")],
     }
 
 
@@ -98,6 +101,17 @@ def _digests(argv, out_dir):
         with open(os.path.join(out_dir, name), "rb") as fh:
             digests[name] = hashlib.sha256(fh.read()).hexdigest()
     return digests
+
+
+def _help_digest(command):
+    """sha256 of the subcommand's --help text on a terminal 80 columns wide."""
+    stdout = io.StringIO()
+    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(stdout):
+        try:
+            main([command, "--help"])
+        except SystemExit as exc:
+            assert exc.code == 0, f"{command} --help exited {exc.code}"
+    return hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
 
 
 GOLDEN = {
@@ -132,6 +146,20 @@ GOLDEN = {
         "stdout": "c52b4165b2918b5c20e723f80f0ea41a1193ea08402854bd2fabddfe59096a5f",
         "evaluation.json": "c52b4165b2918b5c20e723f80f0ea41a1193ea08402854bd2fabddfe59096a5f",
     },
+    "audit": {
+        "stdout": "7aa32f307bf7bb7de9ac3dc5c06dbd3a24b764b96d26ced106b044e48b9b2bf1",
+        "audit_odds_ratios.csv": "bfa89c961d07223fcd6bdfaf5eb481f8b8b737616e4be130ae1650699d336abc",
+    },
+}
+
+# argparse lays out help text differently across Python versions, so these
+# are compared under PYTHON only.
+HELP = {
+    "fit": "1d5d093be0c0b5f150169354fcc25812b01d5923b86e6369ef320f12d7431791",
+    "evaluate": "6d1e2d5a2a2ed33dff70472b09dbe911d57e036a96fcf10ee81ee23052aad014",
+    "simulate": "d417cabeee984338b8a6797a2ccb478763188493e481cb3ce53a1bee82ca2ba7",
+    "calibrate": "330a6a6da47d44edaf65741ee5b27212cfcf4927d1e25c27ac070d00734f4a07",
+    "audit": "acf570b8c29817f0ae55a52cfcd1377f0cdc0b73dfabb4b06ef6cc76e850ab69",
 }
 
 _SAME_VERSIONS = platform.python_version() == PYTHON and np.__version__ == NUMPY
@@ -151,6 +179,12 @@ def test_cli_output_bytes(name, workdir):
     assert _digests(_commands(workdir)[name], out_dir) == GOLDEN[name]
 
 
+@pytest.mark.skipif(platform.python_version() != PYTHON, reason=f"help text recorded with Python {PYTHON}")
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_text_bytes(command):
+    assert _help_digest(command) == HELP[command]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -159,3 +193,4 @@ if __name__ == "__main__":
         table = {name: _digests(argv, os.path.join(tmp, "out-" + name)) for name, argv in _commands(tmp).items()}
     print(f"# Python {platform.python_version()}, numpy {np.__version__}", file=sys.stderr)
     print(json.dumps(table, indent=4))
+    print(json.dumps({command: _help_digest(command) for command in HELP}, indent=4))
