@@ -40,20 +40,16 @@ from .optimize import (
     subgradient_fit,
     tree_partition_fit,
 )
-from .evaluation import (
-    SimParamsBinary,
-    SimParamsMulti,
-    SimulatedData,
+from .evaluation.estimators import (
     hajek_regret,
     ht_test_regret,
     ipw_value,
-    odds_ratio_audit,
-    simulate_binary,
-    simulate_multi,
     true_regret,
     worst_case_regret,
     worst_case_weights,
 )
+from .evaluation.simulation import SimParamsBinary, SimParamsMulti, SimulatedData, simulate_binary, simulate_multi
+from .evaluation.audit import odds_ratio_audit
 from . import exceptions
 
 __version__ = "0.1.0"

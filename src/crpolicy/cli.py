@@ -11,7 +11,6 @@ seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -22,33 +21,19 @@ import numpy as np
 from .data import ColumnSchema, Dataset, estimate_propensities, load_dataset
 from .exceptions import CRPolicyError
 from .optimize import FitOptions, FitResult, calibration_matrix, gamma_path_fit, subgradient_fit, tree_partition_fit
-from .policy import (
-    ConstantPolicy,
-    LogisticPolicy,
-    Policy,
-    control_baseline,
-    policy_from_json,
-    policy_to_json,
-    uniform_baseline,
-)
+from .policy import ConstantPolicy, LogisticPolicy, Policy, control_baseline, policy_from_json, uniform_baseline
 from .uncertainty import UncertaintySpec
-from .evaluation import (
-    hajek_regret,
-    ht_test_regret,
-    ipw_value,
-    odds_ratio_audit,
-    simulate_binary,
-    simulate_multi,
-    true_regret,
-    worst_case_regret,
-    SimParamsBinary,
-    SimParamsMulti,
-)
+from .evaluation.audit import odds_ratio_audit
+from .evaluation.estimators import hajek_regret, ht_test_regret, ipw_value, true_regret, worst_case_regret
+from .evaluation.simulation import SimParamsBinary, SimParamsMulti, simulate_binary, simulate_multi
 from .evaluation.reports import (
+    gamma_label,
     summarize_curves,
     write_audit_csv,
     write_calibration_csv,
     write_dataset_csv,
+    write_gamma_path_csv,
+    write_json,
     write_regret_curves_csv,
     write_summary_json,
 )
@@ -208,9 +193,13 @@ _READ_ONLY_WITH = {
     "depth": ("policy", "tree"),
     "min_leaf": ("policy", "tree"),
     **dict.fromkeys(_FITTING, ("policy", "logistic")),
+    "rho": ("policy", "logistic"),
     "baseline_file": ("baseline", "file"),
     "clip_eps": ("propensity_col", None),
 }
+
+# The least value of each integer option that a run can honour.
+_AT_LEAST = {"reps": 1, "n": 1, "test_n": 1, "depth": 0, "min_leaf": 1}
 
 
 def _config_value(action: argparse.Action, val, where: str):
@@ -264,6 +253,9 @@ def _merge_config(args: argparse.Namespace, options: Dict[str, argparse.Action])
         if key in given and merged[other] != value:
             when = f"with {_flag(other)} {value}" if value is not None else f"without {_flag(other)}"
             raise CRPolicyError(f"{given[key]}: {args.command} reads {_flag(key)} only {when}")
+    for key, least in _AT_LEAST.items():
+        if merged[key] < least:
+            raise CRPolicyError(f"{_flag(key)} must be >= {least}, not {merged[key]}")
     return merged
 
 
@@ -277,10 +269,10 @@ def _gammas(cfg: dict) -> List[float]:
         raise CRPolicyError("every gamma must be >= 1 (after exp when --log-gamma)")
     if any(g2 <= g1 for g1, g2 in zip(gammas, gammas[1:])):
         raise CRPolicyError("--gamma values must be strictly ascending")
-    # Outputs label a gamma by %g, which rounds monotonically: only neighbours can share a label.
+    # A gamma's output label is its %g, which rounds monotonically: only neighbours can share one.
     for g1, g2 in zip(gammas, gammas[1:]):
-        if f"{g1:g}" == f"{g2:g}":
-            raise CRPolicyError(f"--gamma values {g1!r} and {g2!r} share the output label {g1:g}")
+        if gamma_label(g1) == gamma_label(g2):
+            raise CRPolicyError(f"--gamma values {g1!r} and {g2!r} share the output label {gamma_label(g1)}")
     return gammas
 
 
@@ -351,48 +343,35 @@ def _out(cfg: dict, name: str) -> str:
 
 
 def _cmd_fit(cfg: dict) -> int:
+    gammas, opts = _gammas(cfg), _fit_options(cfg)
     data = _load_with_propensities(cfg)
-    gammas = _gammas(cfg)
     pi0 = _baseline(cfg, data)
-    opts = _fit_options(cfg)
-    rho = cfg.get("rho")
-
-    if cfg["policy"] == "tree":
-        fits = []
-        for gamma in gammas:
-            spec = UncertaintySpec.from_dataset(data, gamma, rho=rho)
-            fits.append(
-                tree_partition_fit(
-                    data, spec, pi0, depth=cfg["depth"], min_leaf=cfg["min_leaf"],
-                    fallback_to_baseline=not cfg["no_fallback"],
-                )
+    if cfg["policy"] == "tree":  # box set only: --rho is refused with it
+        fits = [
+            tree_partition_fit(
+                data, UncertaintySpec.from_dataset(data, gamma), pi0, depth=cfg["depth"],
+                min_leaf=cfg["min_leaf"], fallback_to_baseline=not cfg["no_fallback"],
             )
+            for gamma in gammas
+        ]
     else:
-        fits = gamma_path_fit(data, gammas, pi0, opts, rho=rho)
-
-    best = fits[0]
-    with open(_out(cfg, "fit.json"), "w", encoding="utf-8") as fh:
-        fh.write(best.to_json())
-        fh.write("\n")
+        fits = gamma_path_fit(data, gammas, pi0, opts, rho=cfg["rho"])
+    write_json(_out(cfg, "fit.json"), fits[0].to_doc())
     if len(fits) > 1:
-        with open(_out(cfg, "gamma_path.csv"), "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["gamma", "objective", "fell_back", "policy_json"])
-            for gamma, fit in zip(gammas, fits):
-                w.writerow([repr(gamma), repr(fit.objective), int(fit.fell_back), policy_to_json(fit.policy)])
+        write_gamma_path_csv(_out(cfg, "gamma_path.csv"), fits)
     for gamma, fit in zip(gammas, fits):
         print(f"gamma={gamma:g} objective={fit.objective:.6g} fell_back={fit.fell_back}")
     return 0
 
 
 def _cmd_evaluate(cfg: dict) -> int:
-    data = _load_with_propensities(cfg)
     gammas = _gammas(cfg)
-    pi0 = _baseline(cfg, data)
     if not cfg.get("policy_file"):
         raise CRPolicyError("evaluate requires --policy-file")
     if cfg["ht_probs"] == []:
         raise CRPolicyError("--ht-probs needs at least one value")
+    data = _load_with_propensities(cfg)
+    pi0 = _baseline(cfg, data)
     pol = _for_data(_read_policy(cfg["policy_file"]), data, cfg["policy_file"])
     rho = cfg.get("rho")
 
@@ -405,7 +384,7 @@ def _cmd_evaluate(cfg: dict) -> int:
     }
     for gamma in gammas:
         spec = UncertaintySpec.from_dataset(data, gamma, rho=rho)
-        report["worst_case"][f"{gamma:g}"] = worst_case_regret(pol, pi0, data, spec)
+        report["worst_case"][gamma_label(gamma)] = worst_case_regret(pol, pi0, data, spec)
     report["ipw_value"] = ipw_value(pol, data)
     if cfg.get("ht_probs"):
         try:
@@ -414,11 +393,7 @@ def _cmd_evaluate(cfg: dict) -> int:
             raise CRPolicyError(f"--ht-probs: {exc}") from None
     if data.potential_Y is not None:
         report["true_regret"] = true_regret(pol, pi0, data)
-    out_path = _out(cfg, "evaluation.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(write_json(_out(cfg, "evaluation.json"), report), end="")
     return 0
 
 
@@ -455,9 +430,6 @@ def _simulate_one(cfg: dict, gammas: List[float], opts: FitOptions, rep: int):
 
 
 def _cmd_simulate(cfg: dict) -> int:
-    for key in ("reps", "n", "test_n"):
-        if cfg[key] < 1:
-            raise CRPolicyError(f"{_flag(key)} must be >= 1, not {cfg[key]}")
     gammas, opts = _gammas(cfg), _fit_options(cfg)
     results = [_simulate_one(cfg, gammas, opts, rep) for rep in range(cfg["reps"])]
     all_records = []
@@ -476,10 +448,10 @@ def _cmd_simulate(cfg: dict) -> int:
 
 
 def _cmd_calibrate(cfg: dict) -> int:
+    gammas, opts = _gammas(cfg), _fit_options(cfg)
     data = _load_with_propensities(cfg)
-    gammas = _gammas(cfg)
     pi0 = _baseline(cfg, data)
-    matrix = calibration_matrix(data, gammas, pi0, opts=_fit_options(cfg), rho=cfg.get("rho"))
+    matrix = calibration_matrix(data, gammas, pi0, opts=opts, rho=cfg.get("rho"))
     write_calibration_csv(_out(cfg, "calibration.csv"), matrix)
     for k, g in enumerate(matrix.gammas):
         row = " ".join(f"{v:+.4f}" for v in matrix.values[k])
@@ -512,7 +484,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         cfg = _merge_config(args, _options(commands[args.command]))
         return _COMMANDS[args.command](cfg)
-    except (CRPolicyError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (CRPolicyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # never a bare traceback for the operator

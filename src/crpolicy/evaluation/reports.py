@@ -1,5 +1,6 @@
 """Stable CSV/JSON layouts for experiment outputs, fixed so downstream
-plotting scripts can rely on them. Every file the CLI writes, by command:
+plotting scripts can rely on them. Every file the CLI writes is opened
+here, by `write_csv` or `write_json`; by command:
 
 * fit: fit.json, {policy, objective, fell_back, gamma, options, per_restart}
   of the first gamma's `FitResult`; with more gammas also gamma_path.csv:
@@ -12,21 +13,30 @@ plotting scripts can rely on them. Every file the CLI writes, by command:
   of {method, gamma, mean_regret, stderr, n_reps}
 * calibrate: calibration.csv: train_gamma, then eval_<gamma> per grid point
 * audit: audit_odds_ratios.csv: one column per audited covariate, one row per unit
+
+A gamma named in a key or a column (worst_case, eval_<gamma>) is its
+`gamma_label`.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from ..data import Dataset
+from ..policy import policy_to_json
 
 __all__ = [
+    "gamma_label",
+    "write_csv",
+    "write_json",
     "dataset_rows",
     "write_dataset_csv",
+    "write_gamma_path_csv",
     "write_regret_curves_csv",
     "write_calibration_csv",
     "write_audit_csv",
@@ -37,6 +47,25 @@ __all__ = [
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def gamma_label(gamma: float) -> str:
+    """The %g label of a gamma in output keys and column names."""
+    return f"{gamma:g}"
+
+
+def write_csv(path, rows: Iterable[Sequence]) -> None:
+    """Write rows, header first, as CSV; a generator is consumed as it is written."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def write_json(path, doc) -> str:
+    """Write doc with sorted keys, an indent of 2 and a final newline; return the text written."""
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return text
 
 
 def dataset_rows(data: Dataset, w_star: Optional[np.ndarray] = None):
@@ -60,36 +89,31 @@ def dataset_rows(data: Dataset, w_star: Optional[np.ndarray] = None):
 
 
 def write_dataset_csv(path, data: Dataset, w_star: Optional[np.ndarray] = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows(dataset_rows(data, w_star))
+    write_csv(path, dataset_rows(data, w_star))
+
+
+def write_gamma_path_csv(path, fits) -> None:
+    """fits: one `FitResult` per gamma of the grid, in order."""
+    rows = ([repr(fit.gamma), repr(fit.objective), int(fit.fell_back), policy_to_json(fit.policy)] for fit in fits)
+    write_csv(path, chain([["gamma", "objective", "fell_back", "policy_json"]], rows))
 
 
 def write_regret_curves_csv(path, records: Sequence[dict]) -> None:
     """records: dicts with keys method, gamma, rep, true_regret."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "gamma", "rep", "true_regret"])
-        for rec in records:
-            w.writerow([rec["method"], _fmt(rec["gamma"]), str(int(rec["rep"])), _fmt(rec["true_regret"])])
+    rows = ([rec["method"], _fmt(rec["gamma"]), str(int(rec["rep"])), _fmt(rec["true_regret"])] for rec in records)
+    write_csv(path, chain([["method", "gamma", "rep", "true_regret"]], rows))
 
 
 def write_calibration_csv(path, matrix) -> None:
     """matrix: a `CalibrationMatrix` (gammas and the square values)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["train_gamma"] + [f"eval_{g:g}" for g in matrix.gammas])
-        for g, row in zip(matrix.gammas, matrix.values):
-            w.writerow([_fmt(g)] + [_fmt(v) for v in row])
+    rows = ([_fmt(g)] + [_fmt(v) for v in row] for g, row in zip(matrix.gammas, matrix.values))
+    write_csv(path, chain([["train_gamma"] + [f"eval_{gamma_label(g)}" for g in matrix.gammas]], rows))
 
 
 def write_audit_csv(path, ratios: np.ndarray, names: Optional[Sequence[str]] = None) -> None:
     d, n = ratios.shape
     names = list(names) if names is not None else [f"x{j}" for j in range(d)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(names)
-        for i in range(n):
-            w.writerow([_fmt(ratios[j, i]) for j in range(d)])
+    write_csv(path, chain([names], ([_fmt(ratios[j, i]) for j in range(d)] for i in range(n))))
 
 
 def summarize_curves(records: Sequence[dict]):
@@ -114,6 +138,4 @@ def summarize_curves(records: Sequence[dict]):
 
 
 def write_summary_json(path, summary) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, summary)

@@ -83,6 +83,8 @@ class FitOptions:
             raise ValueError("iters and restarts must be >= 1")
         if not 0 <= self.init_scale < np.inf:
             raise ValueError("init_scale must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.radius is not None and not 0 < self.radius < np.inf:
             raise ValueError("radius must be None, or positive and finite")
 
@@ -104,8 +106,9 @@ class FitResult:
     gamma: Optional[float] = None
     options: Optional[FitOptions] = None
 
-    def to_json(self) -> str:
-        doc = {
+    def to_doc(self) -> dict:
+        """The fit as the JSON document that fit.json holds; `to_json` encodes it."""
+        return {
             "policy": json.loads(policy_to_json(self.policy)),
             "objective": self.objective,
             "fell_back": self.fell_back,
@@ -113,7 +116,9 @@ class FitResult:
             "options": None if self.options is None else asdict(self.options),
             "per_restart": [obj for obj, _ in self.per_restart],
         }
-        return json.dumps(doc, sort_keys=True, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_doc(), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "FitResult":

@@ -203,6 +203,14 @@ class TestSimulate:
         rows = [r for r in csv.DictReader(open(out / "regret_curves.csv")) if r["method"] == "ipw-logistic"]
         assert [float(r["true_regret"]) for r in rows] == [true_regret(naive, control_baseline(2), test)] * 2
 
+    def test_budgeted_rows_per_gamma(self, tmp_path):
+        out = tmp_path / "o"
+        argv = ["simulate", "--reps", "1", "--n", "60", "--test-n", "100", "--gamma", "1.0,1.5",
+                "--rho", "0.5", "--iters", "5", "--restarts", "1", "--output-dir", str(out)]
+        assert main(argv) == 0
+        rows = [r for r in csv.DictReader(open(out / "regret_curves.csv")) if r["method"] == "robust-budgeted-0.5"]
+        assert [r["gamma"] for r in rows] == ["1.0", "1.5"]
+
     def test_workers_flag_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main([*self.ARGS, "--workers", "2", "--output-dir", str(tmp_path / "out")])
@@ -345,6 +353,10 @@ class TestConfigAndErrors:
             ("fit", {"restarts": 0}, "--restarts: "),
             ("fit", ["--init-scale", "-1"], "--init-scale: init_scale must be"),
             ("calibrate", ["--kappa", "0"], "--kappa: kappa must lie in (0, 1]"),
+            ("fit", ["--seed", "-1", "--restarts", "1"], "--seed: seed must be >= 0"),
+            ("simulate", {"seed": -3}, "--seed: seed must be >= 0"),
+            ("fit", ["--policy", "tree", "--depth", "-1"], "--depth must be >= 0, not -1"),
+            ("fit", {"policy": "tree", "min_leaf": 0}, "--min-leaf must be >= 1, not 0"),
         ],
     )
     def test_refusal_names_the_option(self, command, given, message, sim_csv, tmp_path, capsys):
@@ -386,6 +398,27 @@ class TestConfigAndErrors:
         err = capsys.readouterr().err
         assert "--gamma" in err and pair in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, given, message",
+        [
+            ("fit", ["--treatment-col", ""], "missing required column option --treatment-col"),
+            ("fit", ["--baseline", "file"], "--baseline file requires --baseline-file"),
+            ("evaluate", [], "evaluate requires --policy-file"),
+            ("calibrate", ["--covariates", ","], "missing required column option --covariates"),
+        ],
+    )
+    def test_missing_option_named(self, command, given, message, sim_csv, tmp_path, capsys):
+        argv = [command, *_data_args(sim_csv), "--gamma", "1.0", *given, "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_not_an_object(self, sim_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert main(["audit", *_data_args(sim_csv)[:-2], "--config", str(cfg)]) == 2
+        assert f"{cfg}: config must be a JSON object" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["audit", "--input", str(tmp_path / "none.csv"), "--covariates", "x0",
@@ -688,6 +721,7 @@ class TestFitPolicyOptions:
             (["--depth", "3"], "--depth"),
             (["--policy", "logistic", "--min-leaf", "4"], "--min-leaf"),
             (["--policy", "tree", "--seed", "3"], "--seed"),
+            (["--policy", "tree", "--rho", "0.2"], "--rho"),
         ],
     )
     def test_flag(self, flags, name, sim_csv, tmp_path, capsys):
@@ -706,6 +740,7 @@ class TestFitPolicyOptions:
             ({"policy": "tree", "min_leaf": 4}, ["--policy", "logistic"], "--min-leaf"),
             ({"policy": "forest"}, [], "--policy"),
             ({"policy": "tree", "seed": 3}, [], "--seed"),
+            ({"rho": 0.2}, ["--policy", "tree"], "--rho"),
         ],
     )
     def test_config(self, entry, flags, name, sim_csv, tmp_path, capsys):

@@ -207,6 +207,22 @@ class TestDatasetInvariants:
             Dataset(X=np.zeros((1, 1)), T=[0], Y=[0.0], m=2, e_hat=[0.0])
         Dataset(X=np.zeros((1, 1)), T=[0], Y=[0.0], m=2, e_hat=[1.0])  # 1.0 allowed
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"X": np.zeros((3, 1))}, "X has 3 rows but T has 2"),
+            ({"Y": [0.0]}, "Y has 1 entries but T has 2"),
+            ({"m": 1, "T": [0, 0]}, "m=1 must be >= 2"),
+            ({"X": [[0.0], [np.inf]]}, "X contains non-finite values"),
+            ({"Y": [np.nan, 0.0]}, "Y contains non-finite values"),
+            ({"e_hat": [0.5]}, "e_hat length does not match n"),
+            ({"potential_Y": np.zeros((2, 3))}, r"potential_Y must have shape \(2, 2\)"),
+        ],
+    )
+    def test_field_refused(self, fields, message):
+        with pytest.raises(DatasetError, match=message):
+            Dataset(**{"X": np.zeros((2, 1)), "T": [0, 1], "Y": [0.0, 0.0], "m": 2, **fields})
+
     def test_arrays_frozen(self):
         data = Dataset(X=np.zeros((1, 1)), T=[0], Y=[0.0], m=2)
         with pytest.raises(ValueError):

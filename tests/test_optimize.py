@@ -123,7 +123,8 @@ class TestSubgradientFit:
     @pytest.mark.parametrize(
         "field, value",
         [("eta0", np.nan), ("eta0", np.inf), ("eta0", 0.0), ("init_scale", np.inf), ("init_scale", np.nan),
-         ("init_scale", -1.0), ("radius", -1.0), ("radius", 0.0), ("radius", np.nan), ("radius", np.inf)],
+         ("init_scale", -1.0), ("radius", -1.0), ("radius", 0.0), ("radius", np.nan), ("radius", np.inf),
+         ("seed", -1)],
     )
     def test_options_no_fit_can_honour_refused(self, field, value):
         # A negative radius would flip theta's sign at each projection, a NaN one project nothing.
