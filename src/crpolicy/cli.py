@@ -19,10 +19,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .data import ColumnSchema, Dataset, estimate_propensities, load_dataset
-from .exceptions import CRPolicyError
+from .exceptions import CovariateOverflowError, CRPolicyError, DatasetError
 from .optimize import FitOptions, FitResult, calibration_matrix, gamma_path_fit, subgradient_fit, tree_partition_fit
 from .policy import ConstantPolicy, LogisticPolicy, Policy, control_baseline, policy_from_json, uniform_baseline
-from .uncertainty import UncertaintySpec
+from .uncertainty import UncertaintySpec, weight_bounds
 from .evaluation.audit import odds_ratio_audit
 from .evaluation.estimators import hajek_regret, ht_test_regret, ipw_value, true_regret, worst_case_regret
 from .evaluation.simulation import SimParamsBinary, SimParamsMulti, simulate_binary, simulate_multi
@@ -289,11 +289,30 @@ def _schema(cfg: dict) -> ColumnSchema:
     )
 
 
-def _load_with_propensities(cfg: dict) -> Dataset:
-    data = load_dataset(cfg["input"], _schema(cfg))
+def _load_with_propensities(cfg: dict, gammas: List[float]) -> Dataset:
+    """The input with its propensities, checked against the largest gamma."""
+    schema = _schema(cfg)
+    data = load_dataset(cfg["input"], schema)
     if data.e_hat is None:
-        data = data.with_propensities(estimate_propensities(data, clip_eps=cfg["clip_eps"]))
+        try:
+            e_hat = estimate_propensities(data, clip_eps=cfg["clip_eps"])
+        except CovariateOverflowError as exc:
+            raise DatasetError(
+                f"{cfg['input']}: column {schema.covariates[exc.column]!r} is too large in "
+                "magnitude for the propensity model"
+            ) from None
+        data = data.with_propensities(e_hat)
+    _check_gammas(data, gammas)
     return data
+
+
+def _check_gammas(data: Dataset, gammas: List[float]) -> None:
+    """Refuse, naming --gamma, a grid whose weight bounds overflow on data.
+    Bounds widen with gamma, so the largest one is the one to check."""
+    try:
+        weight_bounds(1.0 / data.e_hat, gammas[-1])
+    except ValueError as exc:
+        raise CRPolicyError(f"--gamma: {exc}") from None
 
 
 def _baseline(cfg: dict, data: Dataset) -> Policy:
@@ -344,7 +363,7 @@ def _out(cfg: dict, name: str) -> str:
 
 def _cmd_fit(cfg: dict) -> int:
     gammas, opts = _gammas(cfg), _fit_options(cfg)
-    data = _load_with_propensities(cfg)
+    data = _load_with_propensities(cfg, gammas)
     pi0 = _baseline(cfg, data)
     if cfg["policy"] == "tree":  # box set only: --rho is refused with it
         fits = [
@@ -370,7 +389,7 @@ def _cmd_evaluate(cfg: dict) -> int:
         raise CRPolicyError("evaluate requires --policy-file")
     if cfg["ht_probs"] == []:
         raise CRPolicyError("--ht-probs needs at least one value")
-    data = _load_with_propensities(cfg)
+    data = _load_with_propensities(cfg, gammas)
     pi0 = _baseline(cfg, data)
     pol = _for_data(_read_policy(cfg["policy_file"]), data, cfg["policy_file"])
     rho = cfg.get("rho")
@@ -409,6 +428,7 @@ def _simulate_one(cfg: dict, gammas: List[float], opts: FitOptions, rep: int):
     # counterfactuals, mirroring the replication design.
     test = generate(params(n=cfg["test_n"], seed=_rep_seed(opts.seed, rep, stream=1))).data
     data = sim.data
+    _check_gammas(data, gammas)
     pi0 = _baseline(cfg, data)
     rho = cfg.get("rho")
 
@@ -449,7 +469,7 @@ def _cmd_simulate(cfg: dict) -> int:
 
 def _cmd_calibrate(cfg: dict) -> int:
     gammas, opts = _gammas(cfg), _fit_options(cfg)
-    data = _load_with_propensities(cfg)
+    data = _load_with_propensities(cfg, gammas)
     pi0 = _baseline(cfg, data)
     matrix = calibration_matrix(data, gammas, pi0, opts=opts, rho=cfg.get("rho"))
     write_calibration_csv(_out(cfg, "calibration.csv"), matrix)

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exceptions import ConvergenceError, DatasetError, DatasetWarning, EmptyArmError
+from .exceptions import ConvergenceError, CovariateOverflowError, DatasetError, DatasetWarning, EmptyArmError
 
 __all__ = [
     "Dataset",
@@ -90,23 +90,28 @@ class Dataset:
         X = np.asarray(self.X, dtype=float)
         if X.ndim == 1:
             X = X.reshape(-1, 1)
-        T = np.asarray(self.T, dtype=np.int64).reshape(-1)
+        labels = np.asarray(self.T).reshape(-1)
+        if labels.dtype.kind == "f" and not np.all(np.isfinite(labels) & (labels == np.trunc(labels))):
+            raise DatasetError("treatment labels must be integers")
         Y = np.asarray(self.Y, dtype=float).reshape(-1)
-        n = T.shape[0]
+        n = labels.shape[0]
         if X.shape[0] != n and not (n == 0 and X.size == 0):
             raise DatasetError(f"X has {X.shape[0]} rows but T has {n}")
         if X.shape[0] != n:
             X = X.reshape(n, -1)
         if Y.shape[0] != n:
             raise DatasetError(f"Y has {Y.shape[0]} entries but T has {n}")
+        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)):
+            raise DatasetError(f"treatment arity m={self.m!r} must be an integer")
         if self.m < 2:
             raise DatasetError(f"treatment arity m={self.m} must be >= 2")
         if not np.all(np.isfinite(X)):
             raise DatasetError("X contains non-finite values")
         if not np.all(np.isfinite(Y)):
             raise DatasetError("Y contains non-finite values")
-        if n and (T.min() < 0 or T.max() >= self.m):
+        if n and (labels.min() < 0 or labels.max() >= self.m):
             raise DatasetError("treatment labels must lie in {0, ..., m-1}")
+        T = labels.astype(np.int64, copy=False)
 
         e_hat = self.e_hat
         if e_hat is not None:
@@ -380,20 +385,27 @@ def fit_multinomial_logit(
     scale = max(1.0, float(n))
     current = nll(theta)
     grad_norm = np.inf
+    # Covariates near the float limit overflow the gradient or the Hessian.
+    # LAPACK must not see that: it prints to fd 2 and fails without naming
+    # the input. So the system is checked, and the largest covariate blamed.
     for _ in range(max_iter):
         probs = softmax(_propensity_scores(Z, theta))
-        grad = Z.T @ (probs[:, 1:] - delta)  # (p, m-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = Z.T @ (probs[:, 1:] - delta)  # (p, m-1)
         grad_norm = float(np.abs(grad).max())
         if grad_norm <= grad_tol * scale:
             return theta
         # Full Newton system over the (m-1) blocks.
         k = (m - 1) * p
         H = np.empty((k, k))
-        for u in range(1, m):
-            for v in range(1, m):
-                w = probs[:, u] * ((u == v) - probs[:, v])
-                H[(u - 1) * p : u * p, (v - 1) * p : v * p] = Z.T @ (Z * w[:, None])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for u in range(1, m):
+                for v in range(1, m):
+                    w = probs[:, u] * ((u == v) - probs[:, v])
+                    H[(u - 1) * p : u * p, (v - 1) * p : v * p] = Z.T @ (Z * w[:, None])
         g = grad.T.reshape(-1)  # (m-1, p) flattened row-major
+        if not (np.isfinite(H).all() and np.isfinite(g).all()):
+            raise CovariateOverflowError(int(np.abs(X).max(axis=0).argmax()))
         step, *_ = np.linalg.lstsq(H, g, rcond=None)
         step = step.reshape(m - 1, p)
         # Backtracking keeps the NLL monotone even far from the optimum.

@@ -9,6 +9,15 @@ class DatasetError(CRPolicyError, ValueError):
     """Raised for malformed input files or inconsistent dataset fields."""
 
 
+class CovariateOverflowError(DatasetError):
+    """A covariate so large in magnitude that the propensity model's Newton
+    system overflows. Carries the covariate's column index in X."""
+
+    def __init__(self, column: int):
+        self.column = column
+        super().__init__(f"covariate column {column} is too large in magnitude for the propensity model")
+
+
 class DatasetWarning(UserWarning):
     """Non-fatal dataset issues, e.g. treatment labels absent from the data."""
 

@@ -12,7 +12,8 @@ tree, taking at each leaf the split that most lowers the robust objective
 of the whole tree: one batched sweep per (feature, side, arm) screens
 every candidate split of the leaf, and the exact objective confirms the
 few screened within roundoff of the best, so the choice is the one an
-exact scan makes.
+exact scan makes. A sweep over L units of an arm with N sorted items costs
+O(L sqrt(N)): a square-root block decomposition locates each step's peak.
 """
 
 from __future__ import annotations
@@ -361,49 +362,146 @@ class _ArmSweep:
     L alternatives are merged and sorted once per node. At step s an item is
     active when it is the current contrast of a unit not yet flipped or the
     alternative of one that is, and the box value is the largest threshold
-    ratio over the active items: (sum b r + prefix sum of (a - b) r) over
-    (sum b + prefix sum of (a - b)), inactive items adding nothing.
+    ratio g(p) over the active items: (sum b r + prefix sum of (a - b) r)
+    over (sum b + prefix sum of (a - b)), inactive items adding nothing.
+
+    At one step g rises and then falls in p: an active item raises it
+    exactly when its r lies below it, and r ascends. So the N = k + L sorted
+    items are cut into blocks of about sqrt(N / 2). Each step takes g at the
+    block ends, from per-block totals that change by two items a step. When
+    one block end alone is the largest, the peak lies in its block or the
+    next, and only those two are scanned in full. Block ends that tie for
+    the largest (a plateau: a block with nothing active, or r equal to g)
+    could hide the peak anywhere between them, so such a step takes the
+    dense row, every prefix. Block ends count as tied within a bound on
+    their roundoff, so the value is the dense row's up to roundoff. A sweep
+    costs O(L sqrt(N)) rather than the dense O(L N); at gamma = 1 every
+    span is 0, every prefix ratio is the same, and it costs O(L). A sweep
+    whose whole dense table fits in one block of `_SWEEP_BLOCK` entries
+    (N up to ~180 at L = N / 2) is cheaper scanned whole, and is.
     """
 
     def __init__(self, r, a, b, pos, r_alt):
         merged = np.concatenate([r, r_alt])
-        self.order = np.argsort(merged, kind="stable")
-        span = np.concatenate([a - b, a[pos] - b[pos]])[self.order]
-        self.span_c = span * merged[self.order] + 1j * span
-        self.is_alt = self.order >= r.size
-        self.k, self.pos = r.size, pos
+        self.width = max(1, int((merged.size / 2) ** 0.5))
+        self.n_blocks = -(-merged.size // self.width)
+        # Item arrays run on with zero spans to an empty block past the last,
+        # so that the block after any block is there to scan.
+        size = (self.n_blocks + 1) * self.width
+        order = np.argsort(merged, kind="stable")
+        span, r_sorted = np.zeros(size), np.zeros(size)
+        span[: merged.size] = np.concatenate([a - b, a[pos] - b[pos]])[order]
+        r_sorted[: merged.size] = merged[order]
+        self.span_c = span * r_sorted + 1j * span
+        self.is_alt = np.zeros(size, dtype=bool)
+        self.is_alt[: merged.size] = order >= r.size
         self.sum_b = float(b.sum())
         self.sum_br = float(b @ r)
         self.flip_br = b[pos] * (r_alt - r[pos])
+        # Sorted position of each node unit's current item and of its alternative.
+        sorted_at = np.empty(merged.size, dtype=np.int64)
+        sorted_at[order] = np.arange(merged.size)
+        self.cur_at, self.alt_at = sorted_at[pos], sorted_at[r.size:].copy()
+        # Per-block totals of the active spans at step 0: the current items'.
+        self.totals0 = np.where(self.is_alt, 0.0, self.span_c).reshape(-1, self.width)[:-1].sum(axis=1)
+        # A block end's numerator and denominator are each a chain of at most
+        # 3N + 2 roundings (of unit eps / 2) over terms whose magnitudes add
+        # up to at most twice sum |numerator terms| and twice sum |denominator
+        # terms| (a flipped unit's current item goes in, then comes out). So
+        # its ratio g is off by at most about (3N + 2) eps (sum |numerator
+        # terms| + |g| sum |denominator terms|) over the least denominator,
+        # sum a. Ends within twice that of the largest count as tied: two
+        # ends can be off in opposite directions.
+        self.abs_span = float(np.abs(span).sum())
+        unit = 2.0 * (3 * merged.size + 2) * np.finfo(float).eps / float(a.sum())
+        abs_num = np.abs(self.span_c.real).sum() + np.abs(b * r).sum() + np.abs(self.flip_br).sum()
+        self.tie_num = unit * float(abs_num)
+        self.tie_den = unit * (self.sum_b + self.abs_span)
 
     def values(self, rank: np.ndarray) -> np.ndarray:
         """V[s], s = 0..L: the box value once the node units of rank < s
         (rank[i] for the i-th entry of pos) have flipped."""
         L = rank.size
+        # Numerator and denominator ride as the real and imaginary parts of
+        # one array, so one prefix-sum pass makes both, starting from the
+        # all-at-b totals.
+        flip_br = np.zeros(L)
+        flip_br[rank] = self.flip_br
+        start = self.sum_br + np.concatenate([[0.0], np.cumsum(flip_br)]) + 1j * self.sum_b
+        if not self.abs_span:
+            # Every span is 0 (gamma = 1), so every prefix ratio is the start's.
+            return start.real / start.imag
         # Step from which each item's unit counts as flipped: its current item
         # is active at s <= flip_at, its alternative at s > flip_at. Units
         # outside the node never flip.
-        flip_at = np.full(self.k, L)
-        flip_at[self.pos] = rank
-        flip_at = np.concatenate([flip_at, rank])[self.order]
-        flip_br = np.zeros(L)
-        flip_br[rank] = self.flip_br
-        sum_br = self.sum_br + np.concatenate([[0.0], np.cumsum(flip_br)])
+        flip_at = np.full(self.span_c.size, L)
+        flip_at[self.cur_at] = rank
+        flip_at[self.alt_at] = rank
         out = np.empty(L + 1)
-        rows = max(1, _SWEEP_BLOCK // flip_at.size)
-        block = np.empty((rows, flip_at.size), dtype=complex)
+        if (L + 1) * flip_at.size <= _SWEEP_BLOCK:
+            # The dense table fits in one block: a scan of all of it costs
+            # less than taking its block ends first.
+            self._dense(out, np.arange(L + 1), flip_at, start)
+            return out
+        flips = np.empty(L, dtype=np.int64)  # flips[s - 1]: the unit that flips at step s
+        flips[rank] = np.arange(L)
+        dense, totals = [], self.totals0
+        rows = max(1, _SWEEP_BLOCK // (self.n_blocks + 1 + 2 * self.width))
         for s0 in range(0, L + 1, rows):
             s = np.arange(s0, min(s0 + rows, L + 1))
-            active = (s[:, None] <= flip_at) != self.is_alt
-            # Numerator and denominator ride as the real and imaginary parts
-            # of one array, so one prefix-sum pass makes both; the first
-            # column carries the all-at-b totals the prefix sums start from.
-            frac = block[: s.size]
-            np.multiply(active, self.span_c, out=frac)
-            frac[:, 0] += sum_br[s] + 1j * self.sum_b
-            np.cumsum(frac, axis=1, out=frac)
-            out[s] = (frac.real / frac.imag).max(axis=1)
+            first, tied, begin, totals = self._block_ends(s, flips, start, totals)
+            out[s] = self._scan(s, first, begin, flip_at)
+            dense.append(s[tied > 1])
+        self._dense(out, np.concatenate(dense), flip_at, start)
         return out
+
+    def _block_ends(self, s, flips, start, totals):
+        """For steps s: the first block whose end is within roundoff of the
+        largest block-end ratio, how many block ends are, the prefix sum
+        before that block, and the per-block totals at the last step."""
+        # ends[:, q] sums through block q - 1 from the start in ends[:, 0].
+        # A block's total is the previous step's, less the flipped unit's
+        # current item, plus its alternative.
+        ends = np.zeros((s.size, self.n_blocks + 1), dtype=complex)
+        at, moved = np.arange(s.size), s > 0
+        cur, alt = (i[flips[s[moved] - 1]] for i in (self.cur_at, self.alt_at))
+        ends[at[moved], cur // self.width + 1] -= self.span_c[cur]
+        ends[at[moved], alt // self.width + 1] += self.span_c[alt]
+        ends[0, 1:] += totals
+        np.cumsum(ends[:, 1:], axis=0, out=ends[:, 1:])
+        totals = ends[-1, 1:].copy()
+        ends[:, 0] = start[s]
+        np.cumsum(ends, axis=1, out=ends)
+        g = ends.real[:, 1:] / ends.imag[:, 1:]
+        top = g.max(axis=1)
+        tied = g >= (top - self.tie_num - self.tie_den * np.abs(top))[:, None]
+        first = tied.argmax(axis=1)
+        return first, np.count_nonzero(tied, axis=1), ends[at, first], totals
+
+    def _scan(self, s, first, begin, flip_at):
+        """For steps s, the largest prefix ratio in blocks `first` and
+        `first` + 1, whose prefix sums start at `begin`."""
+        at = first[:, None] + np.arange(2)
+        blocks = self.span_c.reshape(-1, self.width)[at]
+        inactive = (s[:, None, None] <= flip_at.reshape(-1, self.width)[at]) == self.is_alt.reshape(-1, self.width)[at]
+        np.putmask(blocks, inactive, 0.0)
+        frac = blocks.reshape(s.size, -1)
+        frac[:, 0] += begin
+        np.cumsum(frac, axis=1, out=frac)
+        return (frac.real / frac.imag).max(axis=1)
+
+    def _dense(self, out, steps, flip_at, start):
+        """out[s] for the given steps from every prefix of the merged items."""
+        rows = max(1, _SWEEP_BLOCK // flip_at.size)
+        block = np.empty((min(rows, steps.size), flip_at.size), dtype=complex)
+        for c in range(0, steps.size, rows):
+            s = steps[c: c + rows]
+            frac = block[: s.size]
+            frac[:] = self.span_c
+            np.putmask(frac, (s[:, None] <= flip_at) == self.is_alt, 0.0)
+            frac[:, 0] += start[s]
+            np.cumsum(frac, axis=1, out=frac)
+            out[s] = np.divide(frac.real, frac.imag, out=frac.real).max(axis=1)
 
 
 class _TreeBuilder:
@@ -417,10 +515,12 @@ class _TreeBuilder:
     `best_split` screens every candidate of a node at once with one
     `_ArmSweep` per arm, then re-scores with the exact `objective_for` only
     the candidates whose screened value lies within `tol` of the smallest.
-    The screen sums in another order than `solve_box`, so it may differ from
-    the exact objective in the last digits, far inside `tol`; every other
-    candidate is exactly worse, and the choice is the one an exact scan of
-    all candidates makes.
+    The screen sums in another order than `solve_box` (per block, then
+    across block ends), so it may differ from the exact objective in the
+    last digits, far inside `tol`; every other candidate is exactly worse,
+    and the choice is the one an exact scan of all candidates makes. A node
+    of L units costs O(d L sqrt(n)) in its sweeps, where the dense sweep
+    cost O(d L n).
     """
 
     def __init__(self, data: Dataset, spec: UncertaintySpec, pi0: Policy, min_leaf: int):

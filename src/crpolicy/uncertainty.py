@@ -23,7 +23,8 @@ def weight_bounds(w_tilde: np.ndarray, gamma: float):
     """Per-unit inverse-propensity bounds a_i = 1 + (W_i - 1)/gamma, b_i = 1 + gamma (W_i - 1).
 
     Requires every nominal weight W_i >= 1 (a propensity above 1 signals
-    corrupted input and is a hard error, not something to clamp).
+    corrupted input and is a hard error, not something to clamp), and a
+    gamma small enough that n max b_i is a finite float.
     """
     w = np.asarray(w_tilde, dtype=float)
     if not np.isfinite(gamma) or gamma < 1.0:
@@ -31,6 +32,13 @@ def weight_bounds(w_tilde: np.ndarray, gamma: float):
     if w.size and (not np.all(np.isfinite(w)) or w.min() < 1.0):
         raise ValueError("nominal inverse weights must be finite and >= 1")
     dev = w - 1.0
+    # The solvers sum the bounds, so their sum must be a finite float too.
+    # Python floats overflow to inf without a warning: refuse before numpy multiplies.
+    if w.size and not np.isfinite(w.size * (1.0 + float(dev.max()) * float(gamma))):
+        raise ValueError(
+            f"gamma={gamma:g} is too large: the upper weight bounds 1 + gamma (W - 1) "
+            f"of {w.size} units, W up to {w.max():g}, overflow"
+        )
     return 1.0 + dev / gamma, 1.0 + dev * gamma
 
 

@@ -429,19 +429,42 @@ class TestConfigAndErrors:
         # In a child process, so a DatasetWarning would reach stderr as it does for a user.
         path = tmp_path / "stray.csv"
         path.write_text("x0,t,y\n1.0,0,1\n2.0,1,2\n3.0,0,3\n4.0,100000,4\n")
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-        proc = subprocess.run(
-            [sys.executable, "-m", "crpolicy.cli", "fit", "--input", str(path), "--covariates", "x0",
-             "--treatment-col", "t", "--outcome-col", "y", "--gamma", "1.0",
-             "--output-dir", str(tmp_path / "out")],
-            env=env, capture_output=True, timeout=120,
-        )
+        proc = _child(["fit", "--input", str(path), "--covariates", "x0", "--treatment-col", "t",
+                       "--outcome-col", "y", "--gamma", "1.0", "--output-dir", str(tmp_path / "out")])
         assert proc.returncode == 2, proc.stderr
         assert len(proc.stderr) < 1024
         assert b"never occur, more than the 4 data rows" in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def _csv(path, x0_scale=1.0, n=60):
+        rng = np.random.default_rng(0)
+        X, Y = rng.standard_normal((n, 2)), rng.standard_normal(n)
+        rows = [f"{float(X[i, 0] * x0_scale)!r},{float(X[i, 1])!r},{i % 2},{float(Y[i])!r}" for i in range(n)]
+        path.write_text("x0,x1,t,y\n" + "\n".join(rows) + "\n")
+        return ["--input", str(path), "--covariates", "x0,x1", "--treatment-col", "t", "--outcome-col", "y"]
+
+    @pytest.mark.parametrize("policy", [["--iters", "5", "--restarts", "1"], ["--policy", "tree"]])
+    def test_overflowing_gamma_named(self, policy, tmp_path):
+        # b = 1 + gamma (W - 1) overflows: refused before any numpy overflow
+        # warning, naming --gamma rather than r.
+        data = self._csv(tmp_path / "ok.csv")
+        proc = _child(["fit", *data, "--gamma", "1e308", *policy, "--output-dir", str(tmp_path / "out")])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count(b"\n") == 1, proc.stderr
+        assert proc.stderr.startswith(b"error: --gamma: gamma=1e+308 is too large"), proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_covariate_named(self, tmp_path):
+        # x0 ~ 1e300 overflows the propensity fit's Newton system: refused
+        # naming the file and the column, with no LAPACK text on fd 2.
+        path = tmp_path / "big.csv"
+        proc = _child(["fit", *self._csv(path, x0_scale=1e300), "--gamma", "1.5", "--iters", "5",
+                       "--restarts", "1", "--output-dir", str(tmp_path / "out")])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count(b"\n") == 1, proc.stderr
+        assert f"error: {path}: column 'x0' is too large in magnitude".encode() in proc.stderr
+        assert b"DLASCL" not in proc.stderr
 
 
 class TestPolicyFiles:
@@ -762,6 +785,15 @@ class TestFitPolicyOptions:
                               "--eta0", "0.5", "--kappa", "0.6", "--init-scale", "2")) == 0
         doc = json.loads((tmp_path / "out" / "fit.json").read_text())
         assert doc["options"]["iters"] == 7 and doc["options"]["init_scale"] == 2.0
+
+
+def _child(argv):
+    """`python -m crpolicy.cli argv` in a child process, on this checkout's
+    package, so warnings and anything written to fd 2 show as a user sees them."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return subprocess.run([sys.executable, "-m", "crpolicy.cli", *argv], env=env, capture_output=True, timeout=120)
 
 
 def _run(argv):

@@ -213,6 +213,11 @@ class TestDatasetInvariants:
             ({"X": np.zeros((3, 1))}, "X has 3 rows but T has 2"),
             ({"Y": [0.0]}, "Y has 1 entries but T has 2"),
             ({"m": 1, "T": [0, 0]}, "m=1 must be >= 2"),
+            ({"m": 2.5}, "m=2.5 must be an integer"),
+            ({"m": 2.0}, "m=2.0 must be an integer"),
+            ({"T": [0.5, 1.7]}, "treatment labels must be integers"),
+            ({"T": [0.0, np.nan]}, "treatment labels must be integers"),
+            ({"T": [0.0, 1e300]}, r"treatment labels must lie in \{0, ..., m-1\}"),
             ({"X": [[0.0], [np.inf]]}, "X contains non-finite values"),
             ({"Y": [np.nan, 0.0]}, "Y contains non-finite values"),
             ({"e_hat": [0.5]}, "e_hat length does not match n"),
@@ -222,6 +227,10 @@ class TestDatasetInvariants:
     def test_field_refused(self, fields, message):
         with pytest.raises(DatasetError, match=message):
             Dataset(**{"X": np.zeros((2, 1)), "T": [0, 1], "Y": [0.0, 0.0], "m": 2, **fields})
+
+    def test_whole_float_labels_accepted(self):
+        data = Dataset(X=np.zeros((2, 1)), T=[0.0, 1.0], Y=[0.0, 1.0], m=np.int64(2))
+        assert data.T.dtype == np.int64 and data.T.tolist() == [0, 1]
 
     def test_arrays_frozen(self):
         data = Dataset(X=np.zeros((1, 1)), T=[0], Y=[0.0], m=2)

@@ -25,6 +25,7 @@ from crpolicy import optimize
 from crpolicy.evaluation.estimators import worst_case_solution
 from crpolicy.exceptions import EmptyArmError, SolverError
 from crpolicy.optimize import _TreeBuilder, _restart_rng
+from crpolicy.uncertainty import weight_bounds
 
 
 def balanced_dataset(seed, n=60, d=2, m=2, y=None):
@@ -487,6 +488,161 @@ class TestScreenedSplitSearch:
         elapsed = time.perf_counter() - t0
         assert fit.policy.depth() == 2
         assert elapsed < 4.0
+
+
+def reference_sweep_values(r, a, b, pos, r_alt, rank):
+    """The dense sweep: at every step, the arm's box value as the largest
+    ratio over every prefix of the merged, sorted items."""
+    merged = np.concatenate([r, r_alt])
+    order = np.argsort(merged, kind="stable")
+    span = np.concatenate([a - b, a[pos] - b[pos]])[order]
+    span_c = span * merged[order] + 1j * span
+    is_alt = order >= r.size
+    L = rank.size
+    flip_at = np.full(r.size, L)
+    flip_at[pos] = rank
+    flip_at = np.concatenate([flip_at, rank])[order]
+    flip_br = np.zeros(L)
+    flip_br[rank] = b[pos] * (r_alt - r[pos])
+    sum_br = float(b @ r) + np.concatenate([[0.0], np.cumsum(flip_br)])
+    out = np.empty(L + 1)
+    rows = max(1, optimize._SWEEP_BLOCK // flip_at.size)
+    block = np.empty((rows, flip_at.size), dtype=complex)
+    for s0 in range(0, L + 1, rows):
+        s = np.arange(s0, min(s0 + rows, L + 1))
+        active = (s[:, None] <= flip_at) != is_alt
+        frac = block[: s.size]
+        np.multiply(active, span_c, out=frac)
+        frac[:, 0] += sum_br[s] + 1j * float(b.sum())
+        np.cumsum(frac, axis=1, out=frac)
+        out[s] = (frac.real / frac.imag).max(axis=1)
+    return out
+
+
+def sweep_case(seed, k, L, gamma, y="normal", p0=None):
+    """One arm's sweep as `best_split` builds it: k units, of which L (in a
+    node, all at the same arm) flip; r = (match - p0) Y before and after."""
+    rng = np.random.default_rng(seed)
+    Y = {
+        "normal": lambda: rng.standard_normal(k),
+        "rounded": lambda: np.round(rng.standard_normal(k)),
+        "binary": lambda: rng.integers(0, 2, k).astype(float),
+    }[y]()
+    p0 = float(rng.choice([0.0, 0.5, 1.0])) if p0 is None else p0
+    pos = np.sort(rng.choice(k, L, replace=False))
+    match = rng.integers(0, 2, k).astype(float)
+    match[pos] = float(rng.integers(0, 2))
+    r = (match - p0) * Y
+    r_alt = (1.0 - match[pos] - p0) * Y[pos]
+    a, b = weight_bounds(1.0 / rng.uniform(0.2, 0.9, k), gamma)
+    return (r, a, b, pos, r_alt, rng.permutation(L)), 1e-9 * max(1.0, float(np.abs(Y).max()))
+
+
+def hidden_peak_case(seed):
+    """At step 0 the L alternatives, all inactive, fill several blocks past
+    the rising part, so block ends tie across them; past them one unit
+    raises the ratio and far larger contrasts pull it back down within a
+    block: the peak sits two or more blocks past the first tied end."""
+    rng = np.random.default_rng(seed)
+    L, n_raise = int(rng.integers(100, 150)), int(rng.integers(1, 4))
+    r = np.concatenate([
+        -1.0 - rng.uniform(0, 0.1, 100),  # rising
+        -0.3 + rng.uniform(0, 0.05, n_raise),  # raises again past the plateau
+        500.0 + rng.uniform(0, 0.1, 100),  # falls
+        -1.0 - rng.uniform(0, 0.1, L),  # the node's units, rising
+    ])
+    pos = np.arange(r.size - L, r.size)
+    r_alt = -0.5 + 0.001 * np.arange(L)
+    a, b = weight_bounds(1.0 / rng.uniform(0.45, 0.55, r.size), 2.0)
+    return r, a, b, pos, r_alt, rng.permutation(L)
+
+
+class TestArmSweep:
+    """The block screen gives the dense sweep's values up to roundoff."""
+
+    @pytest.mark.parametrize("y", ["normal", "rounded", "binary"])
+    @pytest.mark.parametrize("gamma", [1.0, 1.3, 2.0])
+    def test_matches_the_dense_sweep(self, y, gamma):
+        for seed in range(40):
+            k = int(np.random.default_rng(seed).integers(1, 400))
+            L = int(np.random.default_rng(seed + 1).integers(0, k + 1))
+            args, tol = sweep_case(seed, k, L, gamma, y)
+            got, want = optimize._ArmSweep(*args[:5]).values(args[5]), reference_sweep_values(*args)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= tol, (seed, k, L)
+
+    @pytest.mark.parametrize(
+        "k, L", [(1, 0), (1, 1), (2, 1), (3, 3), (5, 0), (40, 0), (40, 1), (40, 40), (300, 300), (17_000, 0), (9_000, 1)]
+    )
+    def test_small_and_whole_arm_shapes(self, k, L):
+        # Fewer items than one block, no unit or one unit flipping (on a
+        # table too large to scan whole, too), and a node that is the whole arm.
+        for seed in range(20):
+            for y in ("normal", "binary"):
+                args, tol = sweep_case(seed, k, L, 1.5, y)
+                got, want = optimize._ArmSweep(*args[:5]).values(args[5]), reference_sweep_values(*args)
+                assert np.abs(got - want).max() <= tol, (seed, y)
+
+    def test_gamma_one_is_every_prefix_at_once(self):
+        # Every span is 0: each step's value is its all-at-b ratio, exactly.
+        for seed in range(20):
+            args, _ = sweep_case(seed, 200, 120, 1.0, "rounded")
+            assert np.array_equal(optimize._ArmSweep(*args[:5]).values(args[5]), reference_sweep_values(*args))
+
+    def test_peak_hidden_past_a_plateau(self):
+        # Block ends tie exactly across blocks with nothing active, and the
+        # peak lies past them: a screen of the blocks at the first tied end
+        # misses it, so those steps must take the dense row.
+        for seed in range(30):
+            args = hidden_peak_case(seed)
+            got, want = optimize._ArmSweep(*args[:5]).values(args[5]), reference_sweep_values(*args)
+            assert np.abs(got - want).max() <= 1e-9 * 500.0, seed
+
+    def test_plateau_ties_with_a_control_baseline(self):
+        # With the control baseline every contrast of an all-control tree is
+        # 0, so at step 0 every prefix ratio is 0 and all block ends tie.
+        for seed in range(20):
+            for y in ("normal", "binary"):
+                args, tol = sweep_case(seed, 300, 150, 1.5, y, p0=1.0)
+                args[0][:] = 0.0
+                got, want = optimize._ArmSweep(*args[:5]).values(args[5]), reference_sweep_values(*args)
+                assert np.abs(got - want).max() <= tol, (seed, y)
+
+
+class TestTreeScaling:
+    @staticmethod
+    def _fit_at(n):
+        # The data of test_depth_two_at_n1600_in_seconds at another size.
+        rng = np.random.default_rng(1600)
+        X = rng.standard_normal((n, 5))
+        T = rng.permutation(np.arange(n) % 2)
+        Y = X[:, 0] + np.where(T == 1, X[:, 1] - X[:, 2], 0.0) + rng.standard_normal(n)
+        data = Dataset(X=X, T=T, Y=Y, m=2, e_hat=rng.uniform(0.3, 0.7, n))
+        spec = UncertaintySpec.from_dataset(data, 1.5)
+        return lambda: tree_partition_fit(data, spec, PI0, depth=2, min_leaf=20, fallback_to_baseline=False)
+
+    def test_depth_two_at_n10k_in_seconds(self):
+        # The dense sweep is quadratic in n and took 16.5 s on a 2-core Xeon;
+        # the block screen takes 1.3 s.
+        fit = self._fit_at(10_000)
+        t0 = time.perf_counter()
+        result = fit()
+        elapsed = time.perf_counter() - t0
+        assert result.policy.depth() == 2
+        assert elapsed < 8.0
+
+    def test_depth_two_at_n10k_memory_is_flat(self):
+        # Sweeps run in blocks of _SWEEP_BLOCK entries: the fit peaks near
+        # 5 MB, where one unchunked (steps x blocks) table of block totals
+        # alone would take ~10 MB.
+        fit = self._fit_at(10_000)
+        tracemalloc.start()
+        try:
+            fit()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
 
 
 def reference_subgradient_fit(data, spec, pi0, opts=FitOptions(), extra_inits=()):

@@ -49,6 +49,13 @@ class TestWeightBounds:
         with pytest.raises(ValueError):
             weight_bounds(np.array([2.0]), 0.8)
 
+    def test_overflowing_bounds_refused(self):
+        # Each b_i = 1 + 1e308 is finite, but not the sum of the 2 bounds.
+        with pytest.raises(ValueError, match="gamma=1e"):
+            weight_bounds(np.array([2.0, 2.0]), 1e308)
+        a, b = weight_bounds(np.array([2.0]), 1e308)
+        assert b[0] == 1e308 and np.isfinite(a[0])
+
 
 class TestBudget:
     def _spec(self, w, gamma):
