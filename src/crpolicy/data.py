@@ -101,15 +101,19 @@ class Dataset:
             X = X.reshape(n, -1)
         if Y.shape[0] != n:
             raise DatasetError(f"Y has {Y.shape[0]} entries but T has {n}")
-        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)):
+        m = self.m
+        if isinstance(m, (float, np.floating)) and float(m).is_integer():
+            m = int(m)
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
             raise DatasetError(f"treatment arity m={self.m!r} must be an integer")
-        if self.m < 2:
-            raise DatasetError(f"treatment arity m={self.m} must be >= 2")
+        m = int(m)
+        if m < 2:
+            raise DatasetError(f"treatment arity m={m} must be >= 2")
         if not np.all(np.isfinite(X)):
             raise DatasetError("X contains non-finite values")
         if not np.all(np.isfinite(Y)):
             raise DatasetError("Y contains non-finite values")
-        if n and (labels.min() < 0 or labels.max() >= self.m):
+        if n and (labels.min() < 0 or labels.max() >= m):
             raise DatasetError("treatment labels must lie in {0, ..., m-1}")
         T = labels.astype(np.int64, copy=False)
 
@@ -125,8 +129,8 @@ class Dataset:
         pY = self.potential_Y
         if pY is not None:
             pY = np.asarray(pY, dtype=float)
-            if pY.shape != (n, self.m):
-                raise DatasetError(f"potential_Y must have shape ({n}, {self.m})")
+            if pY.shape != (n, m):
+                raise DatasetError(f"potential_Y must have shape ({n}, {m})")
             if n and not np.array_equal(Y, pY[np.arange(n), T]):
                 raise DatasetError("Y must equal potential_Y[i, T[i]] exactly")
             pY = _frozen(pY)
@@ -134,6 +138,7 @@ class Dataset:
         object.__setattr__(self, "X", _frozen(X))
         object.__setattr__(self, "T", _frozen(T))
         object.__setattr__(self, "Y", _frozen(Y))
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "e_hat", e_hat)
         object.__setattr__(self, "potential_Y", pY)
 

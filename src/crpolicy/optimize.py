@@ -373,12 +373,12 @@ class _ArmSweep:
     next, and only those two are scanned in full. Block ends that tie for
     the largest (a plateau: a block with nothing active, or r equal to g)
     could hide the peak anywhere between them, so such a step takes the
-    dense row, every prefix. Block ends count as tied within a bound on
+    dense row, every prefix, and so does a step with no clear largest end
+    (a block-end ratio is NaN or infinite, as when the denominators cancel
+    at a very large gamma). Block ends count as tied within a bound on
     their roundoff, so the value is the dense row's up to roundoff. A sweep
     costs O(L sqrt(N)) rather than the dense O(L N); at gamma = 1 every
-    span is 0, every prefix ratio is the same, and it costs O(L). A sweep
-    whose whole dense table fits in one block of `_SWEEP_BLOCK` entries
-    (N up to ~180 at L = N / 2) is cheaper scanned whole, and is.
+    span is 0, every prefix ratio is the same, and it costs O(L).
     """
 
     def __init__(self, r, a, b, pos, r_alt):
@@ -438,11 +438,6 @@ class _ArmSweep:
         flip_at[self.cur_at] = rank
         flip_at[self.alt_at] = rank
         out = np.empty(L + 1)
-        if (L + 1) * flip_at.size <= _SWEEP_BLOCK:
-            # The dense table fits in one block: a scan of all of it costs
-            # less than taking its block ends first.
-            self._dense(out, np.arange(L + 1), flip_at, start)
-            return out
         flips = np.empty(L, dtype=np.int64)  # flips[s - 1]: the unit that flips at step s
         flips[rank] = np.arange(L)
         dense, totals = [], self.totals0
@@ -451,7 +446,7 @@ class _ArmSweep:
             s = np.arange(s0, min(s0 + rows, L + 1))
             first, tied, begin, totals = self._block_ends(s, flips, start, totals)
             out[s] = self._scan(s, first, begin, flip_at)
-            dense.append(s[tied > 1])
+            dense.append(s[tied != 1])
         self._dense(out, np.concatenate(dense), flip_at, start)
         return out
 
@@ -472,9 +467,12 @@ class _ArmSweep:
         totals = ends[-1, 1:].copy()
         ends[:, 0] = start[s]
         np.cumsum(ends, axis=1, out=ends)
-        g = ends.real[:, 1:] / ends.imag[:, 1:]
-        top = g.max(axis=1)
-        tied = g >= (top - self.tie_num - self.tie_den * np.abs(top))[:, None]
+        # A NaN or infinite ratio leaves no end clearly largest: the step
+        # takes the dense row, which warns as it always has.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = ends.real[:, 1:] / ends.imag[:, 1:]
+            top = g.max(axis=1)
+            tied = g >= (top - self.tie_num - self.tie_den * np.abs(top))[:, None]
         first = tied.argmax(axis=1)
         return first, np.count_nonzero(tied, axis=1), ends[at, first], totals
 

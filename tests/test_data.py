@@ -214,7 +214,7 @@ class TestDatasetInvariants:
             ({"Y": [0.0]}, "Y has 1 entries but T has 2"),
             ({"m": 1, "T": [0, 0]}, "m=1 must be >= 2"),
             ({"m": 2.5}, "m=2.5 must be an integer"),
-            ({"m": 2.0}, "m=2.0 must be an integer"),
+            ({"m": float("inf")}, "m=inf must be an integer"),
             ({"T": [0.5, 1.7]}, "treatment labels must be integers"),
             ({"T": [0.0, np.nan]}, "treatment labels must be integers"),
             ({"T": [0.0, 1e300]}, r"treatment labels must lie in \{0, ..., m-1\}"),
@@ -228,9 +228,11 @@ class TestDatasetInvariants:
         with pytest.raises(DatasetError, match=message):
             Dataset(**{"X": np.zeros((2, 1)), "T": [0, 1], "Y": [0.0, 0.0], "m": 2, **fields})
 
-    def test_whole_float_labels_accepted(self):
-        data = Dataset(X=np.zeros((2, 1)), T=[0.0, 1.0], Y=[0.0, 1.0], m=np.int64(2))
+    @pytest.mark.parametrize("m", [2, np.int64(2), 2.0, np.float64(2.0)])
+    def test_whole_float_labels_and_arity_accepted(self, m):
+        data = Dataset(X=np.zeros((2, 1)), T=[0.0, 1.0], Y=[0.0, 1.0], m=m)
         assert data.T.dtype == np.int64 and data.T.tolist() == [0, 1]
+        assert type(data.m) is int and data.m == 2
 
     def test_arrays_frozen(self):
         data = Dataset(X=np.zeros((1, 1)), T=[0], Y=[0.0], m=2)

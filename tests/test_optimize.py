@@ -609,6 +609,26 @@ class TestArmSweep:
                 assert np.abs(got - want).max() <= tol, (seed, y)
 
 
+    def test_cancelled_denominators_take_the_dense_row(self):
+        # At gamma = 2^60 each a - b rounds to -b, so the last block end's
+        # numerator and denominator cancel to exactly 0: its ratio is NaN,
+        # no block end is clearly the largest, and every step takes the
+        # dense row, which a scan of the first two blocks would not match.
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            k = int(rng.integers(200, 600))
+            L = int(rng.integers(1, k))
+            r = rng.integers(-3, 4, k).astype(float)
+            pos = np.sort(rng.choice(k, L, replace=False))
+            r_alt = rng.integers(-3, 4, L).astype(float)
+            a, b = weight_bounds(np.full(k, 2.0), 2.0**60)
+            args = (r, a, b, pos, r_alt, rng.permutation(L))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got, want = optimize._ArmSweep(*args[:5]).values(args[5]), reference_sweep_values(*args)
+            assert np.isnan(want).all()
+            assert np.array_equal(got, want, equal_nan=True), seed
+
+
 class TestTreeScaling:
     @staticmethod
     def _fit_at(n):
