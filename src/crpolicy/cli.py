@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .data import ColumnSchema, Dataset, estimate_propensities, load_dataset
-from .exceptions import CovariateOverflowError, CRPolicyError, DatasetError
+from .exceptions import ConvergenceError, CovariateOverflowError, CRPolicyError, DatasetError
 from .optimize import FitOptions, FitResult, calibration_matrix, gamma_path_fit, subgradient_fit, tree_partition_fit
 from .policy import ConstantPolicy, LogisticPolicy, Policy, control_baseline, policy_from_json, uniform_baseline
 from .uncertainty import UncertaintySpec, weight_bounds
@@ -300,6 +300,10 @@ def _load_with_propensities(cfg: dict, gammas: List[float]) -> Dataset:
             raise DatasetError(
                 f"{cfg['input']}: column {schema.covariates[exc.column]!r} is too large in "
                 "magnitude for the propensity model"
+            ) from None
+        except ConvergenceError as exc:
+            raise DatasetError(
+                f"{cfg['input']}: {exc}; rescale its covariates or give the propensities with --propensity-col"
             ) from None
         data = data.with_propensities(e_hat)
     _check_gammas(data, gammas)

@@ -32,20 +32,28 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, less each row's largest score first.
+def softmax(scores: np.ndarray, axis: int = -1, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Softmax over the arm axis `axis` of scores, less each unit's largest score first.
 
     Every shifted score is at most 0 and the largest is 0, so exp cannot
     overflow and the normalizer is at least 1: safe for any finite scores.
-    numpy's reduce over a short last axis pays a per-row overhead, so the
-    row max and, for fewer than 8 arms, the normalizer are taken column by
-    column. A max is exact in any order; numpy's pairwise sum adds fewer
-    than 8 terms left to right, as the columns are added here, and sums 8 or
-    more in another order, so there the normalizer is numpy's own sum.
+    The arm axis may sit anywhere. Unit-major (n, m) rows take the default;
+    the learner's arm-major (..., m, n) blocks pass axis=-2, so each arm is a
+    contiguous row and every pass runs along the units. Either layout gives
+    the bits of numpy's reduces over the last axis of (n, m). The row max
+    and, for fewer than 8 arms, the normalizer are folded over the arm axis
+    a slice (a view) at a time: a max is exact in any order, and numpy's
+    pairwise sum adds fewer than 8 terms left to right, as the slices are
+    added here. It sums 8 or more in another order, so there the normalizer
+    is numpy's own sum, over a unit-major copy. out may be scores itself.
     """
-    s = scores - _by_columns(np.maximum, scores)[..., None]
+    axis %= scores.ndim
+    s = np.subtract(scores, _fold(np.maximum, scores, axis), out=out)
     np.exp(s, out=s)
-    s /= (_by_columns(np.add, s) if s.shape[-1] < 8 else s.sum(axis=-1))[..., None]
+    if s.shape[axis] < 8:
+        s /= _fold(np.add, s, axis)
+    else:
+        s /= np.swapaxes(np.ascontiguousarray(np.swapaxes(s, axis, -1)).sum(axis=-1, keepdims=True), axis, -1)
     return s
 
 
@@ -54,12 +62,12 @@ def one_hot_arms(T: np.ndarray, m: int) -> np.ndarray:
     return (T[:, None] == np.arange(1, m)[None, :]).astype(float)
 
 
-def _by_columns(ufunc, x: np.ndarray) -> np.ndarray:
-    """ufunc folded over the last axis of x from the left, a column at a time."""
-    cols = np.moveaxis(x, -1, 0)
-    out = np.array(cols[0])
-    for col in cols[1:]:
-        ufunc(out, col, out=out)
+def _fold(ufunc, x: np.ndarray, axis: int) -> np.ndarray:
+    """ufunc folded over `axis` of x from the left, a slice (a view) at a time; the axis is kept with length 1."""
+    lead = (slice(None),) * axis
+    out = np.array(x[lead + (slice(0, 1),)])
+    for j in range(1, x.shape[axis]):
+        ufunc(out, x[lead + (slice(j, j + 1),)], out=out)
     return out
 
 

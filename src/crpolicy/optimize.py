@@ -165,8 +165,8 @@ class _SubgradientProblem:
         self.p0_obs = pi0.observed_prob(data.X, data.T)
         self.Z = _design_matrix(data.X)
         self.shape = (data.m - 1, data.d + 1)
-        self.at_T = np.arange(data.n) * data.m + data.T  # (i, T_i) in a flattened (n, m) block
-        self.delta = one_hot_arms(data.T, data.m)
+        self.at_T = data.T * data.n + np.arange(data.n)  # (T_i, i) in a flattened (m, n) block
+        self.delta = np.ascontiguousarray(one_hot_arms(data.T, data.m).T)
 
     def descend(self, theta: np.ndarray, opts: FitOptions) -> np.ndarray:
         """The averaged iterates of the runs from each row of theta (R, m-1, d+1). A step
@@ -174,10 +174,11 @@ class _SubgradientProblem:
         at the row's pessimal W."""
         data, kernel = self.data, ArmKernel(self.spec, self.arms)
         theta, avg = theta.copy(), np.zeros_like(theta)
+        probs = np.empty((len(theta), data.m, data.n))  # each step's arm-major scores, then probs
         for k in range(opts.iters):
             if not np.isfinite(theta).all():
                 raise ValueError("theta must be finite")
-            probs = softmax(logistic_scores(theta, data.X))
+            softmax(logistic_scores(theta, data.X, out=probs), axis=-2, out=probs)
             pT = probs.reshape(len(theta), -1).take(self.at_T, axis=1)
             c = kernel.shares((pT - self.p0_obs) * data.Y) * data.Y
             g = np.swapaxes(score_grad_at(probs, c, pT, self.delta), 1, 2) @ self.Z

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -121,7 +121,8 @@ class LogisticPolicy(_ThetaPolicy):
     """Multinomial logistic policy pi(t | x) proportional to exp(alpha_t + beta_t' x)."""
 
     def prob_matrix(self, X: np.ndarray) -> np.ndarray:
-        return softmax(logistic_scores(self.theta, X))
+        # In C order: callers reduce its rows, and numpy sums a strided row of 8 or more in another order.
+        return np.ascontiguousarray(softmax(logistic_scores(self.theta, X), axis=-2).T)
 
 
 class HardenedLogisticPolicy(_ThetaPolicy):
@@ -129,29 +130,40 @@ class HardenedLogisticPolicy(_ThetaPolicy):
 
     def prob_matrix(self, X: np.ndarray) -> np.ndarray:
         scores = logistic_scores(self.theta, X)
-        out = np.zeros_like(scores)
-        out[np.arange(scores.shape[0]), np.argmax(scores, axis=1)] = 1.0
+        out = np.zeros(scores.shape[::-1])
+        out[np.arange(out.shape[0]), np.argmax(scores, axis=0)] = 1.0
         return out
 
 
-def logistic_scores(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Scores (n, m) of a parameter block theta (m-1, d+1), or (R, n, m) of a
-    stack of R blocks (R, m-1, d+1); arm 0 is the zero-score reference."""
+def logistic_scores(theta: np.ndarray, X: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Arm-major scores (m, n) of a parameter block theta (m-1, d+1), or (R, m, n)
+    of a stack of R blocks (R, m-1, d+1): row t holds every unit's score for
+    arm t, and row 0, the reference arm, is zero. The BLAS forms X @ beta^T
+    unit-major, (n, m-1); the intercepts are added through its transpose, so
+    each arm's row is written whole. out, if given, receives the scores.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    s = np.zeros(theta.shape[:-2] + (X.shape[0], theta.shape[-2] + 1))
-    np.add(theta[..., None, :, 0], X @ np.swapaxes(theta[..., 1:], -1, -2), out=s[..., 1:])
+    s = np.empty(theta.shape[:-2] + (theta.shape[-2] + 1, X.shape[0])) if out is None else out
+    s[..., 0, :] = 0.0
+    np.add(theta[..., :, 0, None], np.swapaxes(X @ np.swapaxes(theta[..., 1:], -1, -2), -1, -2), out=s[..., 1:, :])
     return s
 
 
 def score_grad_at(probs: np.ndarray, c: np.ndarray, pT: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """c_i * d pi(T_i | X_i) / d s_u for the non-reference scores u = 1..m-1, as (n, m-1).
 
-    pT holds the probs gathered at each T_i and delta is `one_hot_arms(T, m)`.
-    d pi_t / d s_u = pi_t (1[t=u] - pi_u); the gradient in theta is this row
-    times (1, X_i), so sum_i c_i grad pi(T_i | X_i) is its transpose times
-    the design matrix. Stacked probs (R, n, m), c and pT (R, n) give (R, n, m-1).
+    probs are arm-major, (m, n) as `logistic_scores` lays them out, pT holds
+    them gathered at each T_i, and delta is `one_hot_arms(T, m)` transposed
+    to (m-1, n). d pi_t / d s_u = pi_t (1[t=u] - pi_u); the gradient in theta
+    is this row times (1, X_i), so sum_i c_i grad pi(T_i | X_i) is the
+    result's transpose times the design matrix. The result is formed
+    arm-major but stored unit-major and C-ordered: the BLAS product's
+    operand, and so its rounding, are those of a unit-major gradient block.
+    Stacked probs (R, m, n), c and pT (R, n) give (R, n, m-1).
     """
-    return (c * pT)[..., None] * (delta - probs[..., 1:])
+    out = np.empty(probs.shape[:-2] + (probs.shape[-1], probs.shape[-2] - 1))
+    np.multiply(delta - probs[..., 1:, :], (c * pT)[..., None, :], out=np.swapaxes(out, -1, -2))
+    return out
 
 
 def harden(pol: "LogisticPolicy") -> HardenedLogisticPolicy:
@@ -239,8 +251,8 @@ def policy_gradient(pol: Policy, t: int, x) -> np.ndarray:
     if not 0 <= t < pol.m:
         raise IndexError(f"arm {t} out of range for m={pol.m}")
     x = _one_unit(pol, x)
-    probs = pol.prob_matrix(x)
-    coef = score_grad_at(probs, np.ones(1), probs[:, t], one_hot_arms(np.array([t]), pol.m))
+    probs = softmax(logistic_scores(pol.theta, x), axis=-2)
+    coef = score_grad_at(probs, np.ones(1), probs[t], one_hot_arms(np.array([t]), pol.m).T)
     return np.outer(coef[0], _design_matrix(x)[0])
 
 

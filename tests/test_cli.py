@@ -466,6 +466,18 @@ class TestConfigAndErrors:
         assert f"error: {path}: column 'x0' is too large in magnitude".encode() in proc.stderr
         assert b"DLASCL" not in proc.stderr
 
+    def test_stalled_propensity_fit_names_the_file(self, tmp_path):
+        # x0 ~ 1e100 does not overflow the Newton system but stops the fit
+        # from converging: refused naming the file and --propensity-col.
+        path = tmp_path / "stall.csv"
+        proc = _child(["fit", *self._csv(path, x0_scale=1e100), "--gamma", "1.5", "--iters", "5",
+                       "--restarts", "1", "--output-dir", str(tmp_path / "out")])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count(b"\n") == 1, proc.stderr
+        assert proc.stderr.startswith(f"error: {path}: propensity fit did not converge".encode()), proc.stderr
+        assert b"--propensity-col" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
 
 class TestPolicyFiles:
     """A policy or fit-result JSON that lacks a field is refused, naming the file and the field."""

@@ -271,6 +271,24 @@ class TestSoftmax:
             x[rng.random(shape) < 0.1] = -0.0
             assert softmax(x).tobytes() == self._reduced(x).tobytes()
 
+    @pytest.mark.parametrize("R", [1, 2, 3])
+    @pytest.mark.parametrize("m", list(range(1, 13)) + [130])
+    def test_arm_axis_gives_the_rows_transposed(self, m, R):
+        # The learner's arm-major (R, m, n) block, and a single (m, n) block.
+        rng = np.random.default_rng(100 * m + R)
+        shape = (R, m, 37)
+        x = rng.standard_normal(shape) * rng.choice([1.0, 30.0, 700.0, 1e5], size=shape)
+        x[rng.random(shape) < 0.2] = 0.0
+        x[rng.random(shape) < 0.1] = -0.0
+        arm_major = softmax(x, axis=-2)
+        for r in range(R):
+            rows = softmax(np.ascontiguousarray(x[r].T))
+            assert arm_major[r].tobytes() == np.ascontiguousarray(rows.T).tobytes()
+            assert softmax(x[r], axis=0).tobytes() == arm_major[r].tobytes()
+        in_place = x.copy()
+        assert softmax(in_place, axis=1, out=in_place) is in_place
+        assert in_place.tobytes() == arm_major.tobytes()
+
     def test_large_scores_do_not_overflow(self):
         p = softmax(np.array([[1e6, 1e6 - 1.0, -1e6]]))
         assert np.isfinite(p).all() and p[0, 0] > p[0, 1] > p[0, 2] == 0.0

@@ -62,6 +62,8 @@ def _inputs(tmp):
         "rho": (8, 150, 2, False),
         "binary": (9, 3000, 3, True),
         "tree": (10, 200, 2, False),
+        "box4": (11, 400, 4, False),
+        "box-n20k": (12, 20000, 3, False),
     }
     for name, args in designs.items():
         _write_input(os.path.join(tmp, f"{name}.csv"), *args)
@@ -74,6 +76,8 @@ def _commands(tmp):
     inp = lambda name: ["--input", os.path.join(tmp, f"{name}.csv"), *_FIT]
     return {
         "fit-box": ["fit", *inp("box"), "--gamma", "1.2", "--iters", "30", "--restarts", "2"],
+        "fit-box4": ["fit", *inp("box4"), "--gamma", "1.3", "--iters", "20", "--restarts", "3", "--no-fallback"],
+        "fit-box-n20k": ["fit", *inp("box-n20k"), "--gamma", "1.2", "--iters", "5", "--restarts", "2", "--no-fallback"],
         "fit-rho": ["fit", *inp("rho"), "--gamma", "1.5", "--rho", "0.2", "--iters", "10", "--restarts", "1"],
         "fit-binary": ["fit", *inp("binary"), "--gamma", "1,1.5", "--iters", "25", "--restarts", "2", "--seed", "3"],
         "fit-tree": ["fit", *inp("tree"), "--policy", "tree", "--depth", "2", "--min-leaf", "10", "--gamma", "1.5"],
@@ -118,6 +122,14 @@ GOLDEN = {
     "fit-box": {
         "stdout": "12c6686a5e41b517053414b7e8e0d8c627927a9a28942ba66fcd26d7a96d5fda",
         "fit.json": "095be9806aadea999b9192d3b598c20c2b8c2e0f9c2d2a89bc96fe52cdcb95aa",
+    },
+    "fit-box4": {
+        "stdout": "01ad2b394a4b3801242b406e3ea5bfa992d2a1b57f07772201ff0a7187e6f419",
+        "fit.json": "5c62dd8d4c6373747361d92464966a6f666d13d06c5ea6497b9a8d88da015084",
+    },
+    "fit-box-n20k": {
+        "stdout": "9cbaf9abb11016925857f925091b9d159a6e2667bfa0c9e0d3e2dadc533db77d",
+        "fit.json": "4f0620fae7d76ddc2aec68e08504ec6bbf30c3cdb10ff2ec2314a798bf6b526b",
     },
     "fit-rho": {
         "stdout": "32eda3f917fc4e4852074bdb9da140266c6bc0b7ab3c956c72b81a362d536020",

@@ -834,3 +834,23 @@ class TestStackedRestarts:
 
         one, five = peak(1), peak(5)
         assert five <= 1.25 * one, (one, five)
+
+    def test_one_step_at_n20k_peaks_no_higher_than_the_unit_major_step(self):
+        # One step of one restart at n = 20 000, m = 3. The limit is the traced
+        # peak of the unit-major step, where scores, probs and an (n, m-1)
+        # difference and product live at once: 2,313,809-2,313,862 bytes with
+        # numpy 2.4.6. The arm-major step writes its scores and probs into one
+        # block reused across steps, and its gradient block directly.
+        rng = np.random.default_rng(1)
+        n, m = 20_000, 3
+        data = Dataset(X=rng.standard_normal((n, 5)), T=rng.integers(0, m, n), Y=rng.standard_normal(n), m=m,
+                       e_hat=rng.uniform(0.2, 0.5, n))
+        problem = optimize._SubgradientProblem(data, UncertaintySpec.from_dataset(data, 1.2), control_baseline(m))
+        theta = rng.normal(0.0, 1.0, (1, m - 1, 6))
+        tracemalloc.start()
+        try:
+            problem.descend(theta, FitOptions(iters=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_313_809, peak

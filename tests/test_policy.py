@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -112,6 +113,60 @@ class TestProbabilities:
     def test_baselines(self):
         assert control_baseline(3).p.tolist() == [1.0, 0.0, 0.0]
         assert uniform_baseline(4).p.tolist() == [0.25] * 4
+
+
+class TestArmMajorLayout:
+    """The arm-major scores and softmax give the bits of the unit-major formula, written here as the reference."""
+
+    @staticmethod
+    def _unit_major_scores(theta, X):
+        s = np.zeros((X.shape[0], theta.shape[0] + 1))
+        np.add(theta[None, :, 0], X @ theta[:, 1:].T, out=s[:, 1:])
+        return s
+
+    @classmethod
+    def _unit_major_probs(cls, theta, X):
+        # Row max and normalizer folded column by column, left to right.
+        s = cls._unit_major_scores(theta, X)
+        s -= functools.reduce(np.maximum, s.T)[:, None]
+        np.exp(s, out=s)
+        s /= functools.reduce(np.add, s.T)[:, None]
+        return s
+
+    @staticmethod
+    def _case(m, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((257, 4)) * rng.choice([1.0, 10.0], size=4)
+        theta = rng.standard_normal((m - 1, 5)) * rng.choice([0.1, 1.0, 30.0])
+        return theta, X
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_logistic_prob_matrix_bytes(self, m, seed):
+        theta, X = self._case(m, seed)
+        got = LogisticPolicy(theta).prob_matrix(X)
+        assert got.shape == (257, m) and got.flags.c_contiguous
+        assert got.tobytes() == self._unit_major_probs(theta, X).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_hardened_prob_matrix_bytes(self, m, seed):
+        theta, X = self._case(m, seed)
+        scores = self._unit_major_scores(theta, X)
+        want = np.zeros_like(scores)
+        want[np.arange(len(X)), np.argmax(scores, axis=1)] = 1.0
+        got = HardenedLogisticPolicy(theta).prob_matrix(X)
+        assert got.shape == (257, m) and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_gradient_bytes(self, m):
+        theta, X = self._case(m, m)
+        probs = self._unit_major_probs(theta, X[:1])
+        for t in range(m):
+            delta = (t == np.arange(1, m)).astype(float)
+            want = np.outer(probs[0, t] * (delta - probs[0, 1:]), np.r_[1.0, X[0]])
+            assert policy_gradient(LogisticPolicy(theta), t, X[0]).tobytes() == want.tobytes()
 
 
 class TestGradient:
