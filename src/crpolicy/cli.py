@@ -11,6 +11,7 @@ seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -81,8 +82,10 @@ def _csv_names(text: str) -> List[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip() != ""]
 
 
+@functools.cache
 def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's subparser, which defines every option it reads."""
+    """The top-level parser and each command's subparser, which defines every
+    option it reads; built once a process, as its objects sit in cycles."""
     parser = argparse.ArgumentParser(
         prog="crpolicy",
         description="Confounding-robust policy learning and evaluation.",
@@ -178,6 +181,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
     return parser, sub.choices
 
 
+@functools.cache
 def _options(p: argparse.ArgumentParser) -> Dict[str, argparse.Action]:
     """The options of a command's subparser, by dest."""
     return {a.dest: a for a in p._actions if a.dest != "help"}

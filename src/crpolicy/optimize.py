@@ -373,10 +373,10 @@ class _ArmSweep:
     one block end alone is the largest, the peak lies in its block or the
     next, and only those two are scanned in full. Block ends that tie for
     the largest (a plateau: a block with nothing active, or r equal to g)
-    could hide the peak anywhere between them, so such a step takes the
-    dense row, every prefix, and so does a step with no clear largest end
-    (a block-end ratio is NaN or infinite, as when the denominators cancel
-    at a very large gamma). Block ends count as tied within a bound on
+    could hide the peak anywhere between them, so such a step rescans every
+    block, through the same pass, and so does a step with no clear largest
+    end (a block-end ratio is NaN or infinite, as when the denominators
+    cancel at a very large gamma). Block ends count as tied within a bound on
     their roundoff, so the value is the dense row's up to roundoff. A sweep
     costs O(L sqrt(N)) rather than the dense O(L N); at gamma = 1 every
     span is 0, every prefix ratio is the same, and it costs O(L).
@@ -446,9 +446,13 @@ class _ArmSweep:
         for s0 in range(0, L + 1, rows):
             s = np.arange(s0, min(s0 + rows, L + 1))
             first, tied, begin, totals = self._block_ends(s, flips, start, totals)
-            out[s] = self._scan(s, first, begin, flip_at)
+            out[s] = self._prefix_max(s, first[:, None] + np.arange(2), begin, flip_at)
             dense.append(s[tied != 1])
-        self._dense(out, np.concatenate(dense), flip_at, start)
+        # Steps without one clear largest block end rescan every block.
+        dense, rows = np.concatenate(dense), max(1, _SWEEP_BLOCK // flip_at.size)
+        for c in range(0, dense.size, rows):
+            s = dense[c: c + rows]
+            out[s] = self._prefix_max(s, np.arange(self.n_blocks + 1)[None], start[s], flip_at)
         return out
 
     def _block_ends(self, s, flips, start, totals):
@@ -469,7 +473,7 @@ class _ArmSweep:
         ends[:, 0] = start[s]
         np.cumsum(ends, axis=1, out=ends)
         # A NaN or infinite ratio leaves no end clearly largest: the step
-        # takes the dense row, which warns as it always has.
+        # rescans every block.
         with np.errstate(divide="ignore", invalid="ignore"):
             g = ends.real[:, 1:] / ends.imag[:, 1:]
             top = g.max(axis=1)
@@ -477,30 +481,18 @@ class _ArmSweep:
         first = tied.argmax(axis=1)
         return first, np.count_nonzero(tied, axis=1), ends[at, first], totals
 
-    def _scan(self, s, first, begin, flip_at):
-        """For steps s, the largest prefix ratio in blocks `first` and
-        `first` + 1, whose prefix sums start at `begin`."""
-        at = first[:, None] + np.arange(2)
-        blocks = self.span_c.reshape(-1, self.width)[at]
-        inactive = (s[:, None, None] <= flip_at.reshape(-1, self.width)[at]) == self.is_alt.reshape(-1, self.width)[at]
-        np.putmask(blocks, inactive, 0.0)
-        frac = blocks.reshape(s.size, -1)
+    def _prefix_max(self, s, at, begin, flip_at):
+        """For steps s, the largest prefix ratio over the items of blocks
+        `at` (a row of block indices per step, or one row for all), whose
+        prefix sums start at `begin`."""
+        w = self.width
+        inactive = (s[:, None, None] <= flip_at.reshape(-1, w)[at]) == self.is_alt.reshape(-1, w)[at]
+        frac = np.where(inactive, 0j, self.span_c.reshape(-1, w)[at]).reshape(s.size, -1)
         frac[:, 0] += begin
         np.cumsum(frac, axis=1, out=frac)
-        return (frac.real / frac.imag).max(axis=1)
-
-    def _dense(self, out, steps, flip_at, start):
-        """out[s] for the given steps from every prefix of the merged items."""
-        rows = max(1, _SWEEP_BLOCK // flip_at.size)
-        block = np.empty((min(rows, steps.size), flip_at.size), dtype=complex)
-        for c in range(0, steps.size, rows):
-            s = steps[c: c + rows]
-            frac = block[: s.size]
-            frac[:] = self.span_c
-            np.putmask(frac, (s[:, None] <= flip_at) == self.is_alt, 0.0)
-            frac[:, 0] += start[s]
-            np.cumsum(frac, axis=1, out=frac)
-            out[s] = np.divide(frac.real, frac.imag, out=frac.real).max(axis=1)
+        # Denominators cancelled at a very large gamma give NaN or inf: values, not warnings.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.divide(frac.real, frac.imag, out=frac.real).max(axis=1)
 
 
 class _TreeBuilder:

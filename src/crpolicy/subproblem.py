@@ -88,11 +88,13 @@ def threshold_values(r: np.ndarray, a: np.ndarray, b: np.ndarray):
     return box_rows(r[None], a, b, order)[0][0], order[0]
 
 
-# Fewer entries than this are sorted stably outright. Measured on a 2-core
-# Xeon with one row of continuous r, the SIMD sort plus its tie check costs
-# 1-4 us more than the stable sort up to ~500 entries and less from ~600;
-# sorting the tree search's k ~ 100 solves the SIMD way made a greedy
-# depth-2 tree fit on 800 rows ~11% slower.
+# Calls with fewer entries than this, R * k over all rows, sort stably
+# outright; the bound was set on one row. In one op of each benchmark
+# workload, a budgeted fit's 42 calls are (1, 75) and a depth-2 tree fit's
+# 12 are (1, 400), all stable; a simulate replication's 3,500 (6, ~100)
+# restart blocks take the SIMD sort and its 570 others, such as (5, 94), the
+# stable one. Per call on a 2-core Xeon, stable against SIMD: (1, 75) 4.4
+# against 6.3 us, (5, 94) 9.9 against 12.1, (6, 89) 11.0 against 14.2.
 _SIMD_SORT_MIN = 512
 
 

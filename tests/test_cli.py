@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import gc
 import json
 import os
 import subprocess
@@ -96,6 +97,21 @@ class TestFit:
         doc = json.loads((out / "fit.json").read_text())
         assert doc["policy"]["variant"] in {"tree", "constant"}
         assert doc["objective"] <= 0.0
+
+    def test_a_call_leaves_little_for_the_cyclic_gc(self, sim_csv, tmp_path):
+        # The argparse tree sits in reference cycles: built once a process,
+        # it is not left for the cyclic GC by every call.
+        argv = ["fit", *_data_args(sim_csv), "--gamma", "1.5", "--iters", "5", "--restarts", "1",
+                "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+        finally:
+            found = gc.collect()
+            gc.enable()
+        assert found < 100
 
 
 class TestEvaluate:
@@ -454,6 +470,14 @@ class TestConfigAndErrors:
         assert proc.stderr.count(b"\n") == 1, proc.stderr
         assert proc.stderr.startswith(b"error: --gamma: gamma=1e+308 is too large"), proc.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_huge_gamma_tree_fit_is_quiet(self, tmp_path):
+        # At gamma = 1e16 the split screen's denominators cancel: its NaN or
+        # infinite prefix ratios are values, with no numpy warning on fd 2.
+        proc = _child(["fit", *self._csv(tmp_path / "ok.csv"), "--policy", "tree", "--depth", "2",
+                       "--min-leaf", "5", "--gamma", "1e16", "--output-dir", str(tmp_path / "out")])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == b""
 
     def test_overflowing_covariate_named(self, tmp_path):
         # x0 ~ 1e300 overflows the propensity fit's Newton system: refused
