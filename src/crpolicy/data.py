@@ -213,6 +213,13 @@ def _parse_cell(raw: str, column: str, row: int) -> float:
     return value
 
 
+# The rules for a finite treatment label, in the order they are checked: a
+# test on one float label or an array of them, and how a refusal words it.
+_LABEL_RULES = (
+    (lambda t: (t == np.floor(t)) & (t >= 0), "is not a non-negative integer"),
+    (lambda t: t < 2.0**63, "is past the int64 range"),
+)
+
 # Data rows read and converted at a time: memory stays bounded in the
 # length of the file while each column converts at C speed.
 _CHUNK_ROWS = 2048
@@ -244,15 +251,9 @@ class _Layout:
                 )
             vals = [_parse_cell(row[j], name, row_num) for name, j in cells[: self.t_at + 1]]
             t_val = vals[-1]
-            if t_val != int(t_val) or t_val < 0:
-                raise DatasetError(
-                    f"{self.path}: treatment value {t_val!r} at data row {row_num} "
-                    "is not a non-negative integer"
-                )
-            if t_val >= 2.0**63:
-                raise DatasetError(
-                    f"{self.path}: treatment value {t_val!r} at data row {row_num} is past the int64 range"
-                )
+            for rule, problem in _LABEL_RULES:
+                if not rule(t_val):
+                    raise DatasetError(f"{self.path}: treatment value {t_val!r} at data row {row_num} {problem}")
             vals += [_parse_cell(row[j], name, row_num) for name, j in cells[self.t_at + 1 :]]
             values.append(vals)
             labels.append(int(t_val))
@@ -269,8 +270,8 @@ class _Layout:
                 cols = list(zip(*rows))
                 vals = np.array([np.fromiter(map(float, cols[j]), float, len(rows)) for j in self.pos])
                 t = vals[self.t_at]
-                # Labels past int64 are left to `parse_cells`, which names their row.
-                if np.isfinite(vals).all() and ((t >= 0) & (t == np.floor(t)) & (t < 2.0**63)).all():
+                # A label that breaks a rule is left to `parse_cells`, which names its row.
+                if np.isfinite(vals).all() and all(rule(t).all() for rule, _ in _LABEL_RULES):
                     return vals, t.astype(np.int64)
         except ValueError:
             pass

@@ -366,20 +366,18 @@ class _ArmSweep:
     ratio g(p) over the active items: (sum b r + prefix sum of (a - b) r)
     over (sum b + prefix sum of (a - b)), inactive items adding nothing.
 
-    At one step g rises and then falls in p: an active item raises it
-    exactly when its r lies below it, and r ascends. So the N = k + L sorted
-    items are cut into blocks of about sqrt(N / 2). Each step takes g at the
-    block ends, from per-block totals that change by two items a step. When
-    one block end alone is the largest, the peak lies in its block or the
-    next, and only those two are scanned in full. Block ends that tie for
-    the largest (a plateau: a block with nothing active, or r equal to g)
-    could hide the peak anywhere between them, so such a step rescans every
-    block, through the same pass, and so does a step with no clear largest
-    end (a block-end ratio is NaN or infinite, as when the denominators
-    cancel at a very large gamma). Block ends count as tied within a bound on
-    their roundoff, so the value is the dense row's up to roundoff. A sweep
-    costs O(L sqrt(N)) rather than the dense O(L N); at gamma = 1 every
-    span is 0, every prefix ratio is the same, and it costs O(L).
+    An active item raises g exactly when its r lies below g, and r ascends,
+    so g peaks at the first item with r >= g, active or not: the test fails
+    before it and holds from it on. So the N = k + L sorted items are cut
+    into blocks of about sqrt(N / 2), and each step takes g at the block
+    ends, from per-block totals that change by two items a step. The peak
+    lies in the block before the first end where the next item's r >= g;
+    that block and the next, a margin for roundoff, are scanned in full. A
+    step with a NaN or infinite block-end ratio, and every step of a
+    `guarded` sweep, rescans every block through the same pass. Elsewhere
+    the value is the dense row's up to roundoff. A sweep costs O(L sqrt(N))
+    rather than the dense O(L N); at gamma = 1 every span is 0, every prefix
+    ratio is the same, and it costs O(L).
     """
 
     def __init__(self, r, a, b, pos, r_alt):
@@ -393,6 +391,8 @@ class _ArmSweep:
         span, r_sorted = np.zeros(size), np.zeros(size)
         span[: merged.size] = np.concatenate([a - b, a[pos] - b[pos]])[order]
         r_sorted[: merged.size] = merged[order]
+        # The r of each block's first item, and +inf past the last item.
+        self.r_start = np.append(r_sorted[: merged.size: self.width], np.inf)
         self.span_c = span * r_sorted + 1j * span
         self.is_alt = np.zeros(size, dtype=bool)
         self.is_alt[: merged.size] = order >= r.size
@@ -405,19 +405,14 @@ class _ArmSweep:
         self.cur_at, self.alt_at = sorted_at[pos], sorted_at[r.size:].copy()
         # Per-block totals of the active spans at step 0: the current items'.
         self.totals0 = np.where(self.is_alt, 0.0, self.span_c).reshape(-1, self.width)[:-1].sum(axis=1)
-        # A block end's numerator and denominator are each a chain of at most
-        # 3N + 2 roundings (of unit eps / 2) over terms whose magnitudes add
-        # up to at most twice sum |numerator terms| and twice sum |denominator
-        # terms| (a flipped unit's current item goes in, then comes out). So
-        # its ratio g is off by at most about (3N + 2) eps (sum |numerator
-        # terms| + |g| sum |denominator terms|) over the least denominator,
-        # sum a. Ends within twice that of the largest count as tied: two
-        # ends can be off in opposite directions.
+        # A denominator, sum b plus a prefix of a - b, is a chain of at most
+        # 3N + 2 roundings (of unit eps / 2) over terms of magnitudes adding up
+        # to at most 2 (sum b + sum |a - b|) (a flipped unit's current item
+        # goes in, then comes out). Once that bound reaches the denominators'
+        # least value, sum a, block ends cannot place the peak: every step rescans.
         self.abs_span = float(np.abs(span).sum())
-        unit = 2.0 * (3 * merged.size + 2) * np.finfo(float).eps / float(a.sum())
-        abs_num = np.abs(self.span_c.real).sum() + np.abs(b * r).sum() + np.abs(self.flip_br).sum()
-        self.tie_num = unit * float(abs_num)
-        self.tie_den = unit * (self.sum_b + self.abs_span)
+        roundoff = (3 * merged.size + 2) * np.finfo(float).eps * (self.sum_b + self.abs_span)
+        self.guarded = roundoff >= float(a.sum())
 
     def values(self, rank: np.ndarray) -> np.ndarray:
         """V[s], s = 0..L: the box value once the node units of rank < s
@@ -439,16 +434,18 @@ class _ArmSweep:
         flip_at[self.cur_at] = rank
         flip_at[self.alt_at] = rank
         out = np.empty(L + 1)
-        flips = np.empty(L, dtype=np.int64)  # flips[s - 1]: the unit that flips at step s
-        flips[rank] = np.arange(L)
-        dense, totals = [], self.totals0
-        rows = max(1, _SWEEP_BLOCK // (self.n_blocks + 1 + 2 * self.width))
-        for s0 in range(0, L + 1, rows):
-            s = np.arange(s0, min(s0 + rows, L + 1))
-            first, tied, begin, totals = self._block_ends(s, flips, start, totals)
-            out[s] = self._prefix_max(s, first[:, None] + np.arange(2), begin, flip_at)
-            dense.append(s[tied != 1])
-        # Steps without one clear largest block end rescan every block.
+        dense = [np.arange(L + 1)] if self.guarded else []
+        if not self.guarded:
+            flips = np.empty(L, dtype=np.int64)  # flips[s - 1]: the unit that flips at step s
+            flips[rank] = np.arange(L)
+            totals = self.totals0
+            rows = max(1, _SWEEP_BLOCK // (self.n_blocks + 1 + 2 * self.width))
+            for s0 in range(0, L + 1, rows):
+                s = np.arange(s0, min(s0 + rows, L + 1))
+                first, begin, finite, totals = self._block_ends(s, flips, start, totals)
+                out[s] = self._prefix_max(s, first[:, None] + np.arange(2), begin, flip_at)
+                dense.append(s[~finite])
+        # Steps with a non-finite block end, or all of a guarded sweep, rescan every block.
         dense, rows = np.concatenate(dense), max(1, _SWEEP_BLOCK // flip_at.size)
         for c in range(0, dense.size, rows):
             s = dense[c: c + rows]
@@ -456,9 +453,10 @@ class _ArmSweep:
         return out
 
     def _block_ends(self, s, flips, start, totals):
-        """For steps s: the first block whose end is within roundoff of the
-        largest block-end ratio, how many block ends are, the prefix sum
-        before that block, and the per-block totals at the last step."""
+        """For steps s: the block before the first block end where r_start >= g
+        holds (block 0 if it holds at the start), the prefix sum before that
+        block, whether every block-end ratio is finite, and the per-block
+        totals at the last step."""
         # ends[:, q] sums through block q - 1 from the start in ends[:, 0].
         # A block's total is the previous step's, less the flipped unit's
         # current item, plus its alternative.
@@ -472,14 +470,12 @@ class _ArmSweep:
         totals = ends[-1, 1:].copy()
         ends[:, 0] = start[s]
         np.cumsum(ends, axis=1, out=ends)
-        # A NaN or infinite ratio leaves no end clearly largest: the step
+        # A NaN or infinite ratio leaves the test meaningless: the step
         # rescans every block.
         with np.errstate(divide="ignore", invalid="ignore"):
-            g = ends.real[:, 1:] / ends.imag[:, 1:]
-            top = g.max(axis=1)
-            tied = g >= (top - self.tie_num - self.tie_den * np.abs(top))[:, None]
-        first = tied.argmax(axis=1)
-        return first, np.count_nonzero(tied, axis=1), ends[at, first], totals
+            g = ends.real / ends.imag
+        first = np.maximum((self.r_start >= g).argmax(axis=1) - 1, 0)
+        return first, ends[at, first], np.isfinite(g).all(axis=1), totals
 
     def _prefix_max(self, s, at, begin, flip_at):
         """For steps s, the largest prefix ratio over the items of blocks
@@ -509,9 +505,10 @@ class _TreeBuilder:
     The screen sums in another order than `solve_box` (per block, then
     across block ends), so it may differ from the exact objective in the
     last digits, far inside `tol`; every other candidate is exactly worse,
-    and the choice is the one an exact scan of all candidates makes. A node
-    of L units costs O(d L sqrt(n)) in its sweeps, where the dense sweep
-    cost O(d L n).
+    and the choice is the one an exact scan of all candidates makes, except
+    in a `guarded` sweep, where the denominators cancel and the roundoff can
+    pass `tol`. A node of L units costs O(d L sqrt(n)) in its sweeps, where
+    the dense sweep cost O(d L n).
     """
 
     def __init__(self, data: Dataset, spec: UncertaintySpec, pi0: Policy, min_leaf: int):
@@ -531,9 +528,9 @@ class _TreeBuilder:
         self.arm_pos = np.empty(data.n, dtype=np.int64)
         for idx, *_ in self.parts:
             self.arm_pos[idx] = np.arange(idx.size)
-        # Width of the band of screened values re-scored exactly. The screen
-        # is off by roundoff only, orders of magnitude inside it; contrasts
-        # scale with Y.
+        # Width of the band of screened values re-scored exactly. Short of a
+        # guarded sweep, the screen is off by roundoff only, orders of
+        # magnitude inside it; contrasts scale with Y.
         self.tol = 1e-9 * max(1.0, float(np.abs(data.Y).max()))
         # assignment[i] = arm currently prescribed to unit i by the tree
         self.assignment = np.zeros(data.n, dtype=np.int64)

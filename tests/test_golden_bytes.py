@@ -81,6 +81,9 @@ def _commands(tmp):
         "fit-rho": ["fit", *inp("rho"), "--gamma", "1.5", "--rho", "0.2", "--iters", "10", "--restarts", "1"],
         "fit-binary": ["fit", *inp("binary"), "--gamma", "1,1.5", "--iters", "25", "--restarts", "2", "--seed", "3"],
         "fit-tree": ["fit", *inp("tree"), "--policy", "tree", "--depth", "2", "--min-leaf", "10", "--gamma", "1.5"],
+        "fit-tree-binary": ["fit", *inp("binary"), "--policy", "tree", "--depth", "2", "--min-leaf", "20", "--gamma", "1.5"],
+        "fit-tree-1e13": ["fit", *inp("tree"), "--policy", "tree", "--depth", "2", "--min-leaf", "10", "--gamma", "1e13"],
+        "fit-tree-1e16": ["fit", *inp("tree"), "--policy", "tree", "--depth", "2", "--min-leaf", "10", "--gamma", "1e16"],
         "simulate": [
             "simulate", "--preset", "binary-sec7", "--reps", "1", "--n", "60", "--test-n", "200",
             "--gamma", "1,1.5", "--iters", "10", "--restarts", "2", "--seed", "5",
@@ -143,6 +146,18 @@ GOLDEN = {
     "fit-tree": {
         "stdout": "75a64e8653540ad5a430f7a13cd0f311d8c97cc497933e5dfdaf57c08b16d0f0",
         "fit.json": "c85295d63162966ac9688ba12241e3483774cf6dcc6391804b1e68db9cef5a11",
+    },
+    "fit-tree-binary": {
+        "stdout": "93d38f1ae37839ec6b30f92f6c564999c22e095f8c9c63429cacc5cd22bab7a1",
+        "fit.json": "60fb73176ff42f47ce83c33fa919d2b6108d8b5bb13c8a8d8848514e6feb9a70",
+    },
+    "fit-tree-1e13": {
+        "stdout": "db6559cdcbca0c67c99788175f1631310454fcf204d0274ea087aa3f8e65391e",
+        "fit.json": "4008e80fa808d39d3d1b7362cebbcab494a14e774a73a5d8439d6f0e552a68e3",
+    },
+    "fit-tree-1e16": {
+        "stdout": "327cb3026dc022c77aee2e31756f71e707d8d26ff0d3b10b11ef082d8de66b12",
+        "fit.json": "df1482d53ddcd45747243628d7b3ed6e0802c62d02fdd857f0a14d74bf00baf0",
     },
     "simulate": {
         "stdout": "94aeaf2250a8f2d44ef83a787b72534df6738631e2d7d7e55d2b6d1678621a61",

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crpolicy import (
     ConstantPolicy,
@@ -539,6 +540,22 @@ def sweep_case(seed, k, L, gamma, y="normal", p0=None):
     return (r, a, b, pos, r_alt, rng.permutation(L)), 1e-9 * max(1.0, float(np.abs(Y).max()))
 
 
+def cancelled_case(seed):
+    """A sweep at gamma = 2^60 over integer contrasts, where each a - b rounds to -b."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(200, 600))
+    L = int(rng.integers(1, k))
+    r = rng.integers(-3, 4, k).astype(float)
+    pos = np.sort(rng.choice(k, L, replace=False))
+    r_alt = rng.integers(-3, 4, L).astype(float)
+    a, b = weight_bounds(np.full(k, 2.0), 2.0**60)
+    return r, a, b, pos, r_alt, rng.permutation(L)
+
+
+# Contrasts for the property test: a few values that tie, zero among them, or any in a range.
+_CONTRAST = st.one_of(st.sampled_from([0.0, -1.0, 1.0, -0.5, 0.5]), st.floats(-4.0, 4.0))
+
+
 def hidden_peak_case(seed):
     """At step 0 the L alternatives, all inactive, fill several blocks past
     the rising part, so block ends tie across them; past them one unit
@@ -592,8 +609,9 @@ class TestArmSweep:
 
     def test_peak_hidden_past_a_plateau(self):
         # Block ends tie exactly across blocks with nothing active, and the
-        # peak lies past them: a screen of the blocks at the first tied end
-        # misses it, so those steps must take the dense row.
+        # peak lies past them: the screen must not stop at the first of those
+        # ends. The r of each block past it still lies below g, so the
+        # one-sided test holds only past the peak.
         for seed in range(30):
             args = hidden_peak_case(seed)
             got, want = optimize._ArmSweep(*args[:5]).values(args[5]), reference_sweep_values(*args)
@@ -613,18 +631,11 @@ class TestArmSweep:
     def test_cancelled_denominators_take_the_dense_row(self):
         # At gamma = 2^60 each a - b rounds to -b, so the last block end's
         # numerator and denominator cancel to exactly 0: its ratio is NaN,
-        # no block end is clearly the largest, and every step takes the
-        # dense row, which a scan of the first two blocks would not match,
-        # and with no numpy warning.
+        # the sweep is guarded, and every step takes the dense row, which a
+        # scan of the first two blocks would not match, and with no numpy
+        # warning.
         for seed in range(10):
-            rng = np.random.default_rng(seed)
-            k = int(rng.integers(200, 600))
-            L = int(rng.integers(1, k))
-            r = rng.integers(-3, 4, k).astype(float)
-            pos = np.sort(rng.choice(k, L, replace=False))
-            r_alt = rng.integers(-3, 4, L).astype(float)
-            a, b = weight_bounds(np.full(k, 2.0), 2.0**60)
-            args = (r, a, b, pos, r_alt, rng.permutation(L))
+            args = cancelled_case(seed)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = optimize._ArmSweep(*args[:5]).values(args[5])
@@ -632,6 +643,61 @@ class TestArmSweep:
                 want = reference_sweep_values(*args)
             assert np.isnan(want).all()
             assert np.array_equal(got, want, equal_nan=True), seed
+
+    @staticmethod
+    def _rescanned_steps(monkeypatch, args):
+        """The steps of one sweep that rescan every block, seen through `_prefix_max`."""
+        steps, prefix_max = [], optimize._ArmSweep._prefix_max
+
+        def spy(self, s, at, begin, flip_at):
+            if at.shape[1] == self.n_blocks + 1 > 2:
+                steps.extend(s.tolist())
+            return prefix_max(self, s, at, begin, flip_at)
+
+        monkeypatch.setattr(optimize._ArmSweep, "_prefix_max", spy)
+        optimize._ArmSweep(*args[:5]).values(args[5])
+        return sorted(steps)
+
+    def test_plateaus_take_no_rescan(self, monkeypatch):
+        # The inputs of test_plateau_ties_with_a_control_baseline: every block
+        # end ties at step 0, but the one-sided test still places the peak.
+        for seed in range(20):
+            for y in ("normal", "binary"):
+                args, _ = sweep_case(seed, 300, 150, 1.5, y, p0=1.0)
+                args[0][:] = 0.0
+                assert self._rescanned_steps(monkeypatch, args) == [], (seed, y)
+
+    def test_cancelled_denominators_rescan_every_step(self, monkeypatch):
+        # The inputs of test_cancelled_denominators_take_the_dense_row.
+        for seed in range(10):
+            args = cancelled_case(seed)
+            assert self._rescanned_steps(monkeypatch, args) == list(range(args[5].size + 1)), seed
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(_CONTRAST, _CONTRAST, st.floats(1.0, 6.0), st.booleans()), min_size=1, max_size=80
+        ),
+        st.sampled_from([1.0, 1.5, 3.0, 1e6, 1e13, 2.0**60]),
+        st.data(),
+    )
+    def test_matches_the_dense_sweep_hypothesis(self, units, gamma, data):
+        # Ties and zero contrasts come from the sampled values; weights from
+        # 1 to 6. A guarded sweep takes the dense row at every step, bit for bit.
+        r, r_alt, w, in_node = (np.array(col) for col in zip(*units))
+        pos = np.flatnonzero(in_node)
+        r_alt = r_alt[pos]
+        a, b = weight_bounds(w, gamma)
+        rank = np.array(data.draw(st.permutations(range(pos.size))), dtype=np.int64)
+        sweep = optimize._ArmSweep(r, a, b, pos, r_alt)
+        got = sweep.values(rank)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = reference_sweep_values(r, a, b, pos, r_alt, rank)
+        if sweep.guarded:
+            assert np.array_equal(got, want, equal_nan=True)
+        else:
+            tol = 1e-9 * max(1.0, float(np.abs(np.concatenate([r, r_alt])).max()))
+            assert np.abs(got - want).max() <= tol
 
 
 class TestTreeScaling:
