@@ -505,8 +505,9 @@ class _TreeBuilder:
     The screen sums in another order than `solve_box` (per block, then
     across block ends), so it may differ from the exact objective in the
     last digits, far inside `tol`; every other candidate is exactly worse,
-    and the choice is the one an exact scan of all candidates makes, except
-    in a `guarded` sweep, where the denominators cancel and the roundoff can
+    and the choice is the one an exact scan of all candidates makes. Not so
+    where the denominators cancel (gamma from about 1e9, by the arm's size):
+    there the roundoff of the screen and of the exact objective alike can
     pass `tol`. A node of L units costs O(d L sqrt(n)) in its sweeps, where
     the dense sweep cost O(d L n).
     """
@@ -528,9 +529,9 @@ class _TreeBuilder:
         self.arm_pos = np.empty(data.n, dtype=np.int64)
         for idx, *_ in self.parts:
             self.arm_pos[idx] = np.arange(idx.size)
-        # Width of the band of screened values re-scored exactly. Short of a
-        # guarded sweep, the screen is off by roundoff only, orders of
-        # magnitude inside it; contrasts scale with Y.
+        # Width of the band of screened values re-scored exactly. Short of
+        # cancelling denominators, the screen is off by roundoff only, orders
+        # of magnitude inside it; contrasts scale with Y.
         self.tol = 1e-9 * max(1.0, float(np.abs(data.Y).max()))
         # assignment[i] = arm currently prescribed to unit i by the tree
         self.assignment = np.zeros(data.n, dtype=np.int64)

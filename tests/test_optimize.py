@@ -552,6 +552,19 @@ def cancelled_case(seed):
     return r, a, b, pos, r_alt, rng.permutation(L)
 
 
+def sweep_roundoff(r, a, b, pos, r_alt, values):
+    """How far two sums of a sweep's ratios, in different orders, can part
+    at each step: a numerator or denominator is a chain of at most 3N + 2
+    roundings (of unit eps / 2) over terms of magnitudes adding up to at
+    most twice the sum of their magnitudes, and no denominator is below
+    sum a."""
+    span = np.concatenate([a - b, a[pos] - b[pos]])
+    num = np.abs(span * np.concatenate([r, r_alt])).sum() + np.abs(b * r).sum()
+    num += np.abs(b[pos] * (r_alt - r[pos])).sum()
+    den = b.sum() + np.abs(span).sum()
+    return 2 * (3 * span.size + 2) * np.finfo(float).eps * (num + np.abs(values) * den) / a.sum()
+
+
 # Contrasts for the property test: a few values that tie, zero among them, or any in a range.
 _CONTRAST = st.one_of(st.sampled_from([0.0, -1.0, 1.0, -0.5, 0.5]), st.floats(-4.0, 4.0))
 
@@ -683,7 +696,10 @@ class TestArmSweep:
     )
     def test_matches_the_dense_sweep_hypothesis(self, units, gamma, data):
         # Ties and zero contrasts come from the sampled values; weights from
-        # 1 to 6. A guarded sweep takes the dense row at every step, bit for bit.
+        # 1 to 6. A guarded sweep takes the dense row at every step, bit for
+        # bit. Short of the guard, cancellation can already stretch the
+        # roundoff of both sums past tol: on a plateau before a cancelled
+        # prefix, the dense row's max picks up the noise the screen skips.
         r, r_alt, w, in_node = (np.array(col) for col in zip(*units))
         pos = np.flatnonzero(in_node)
         r_alt = r_alt[pos]
@@ -697,7 +713,7 @@ class TestArmSweep:
             assert np.array_equal(got, want, equal_nan=True)
         else:
             tol = 1e-9 * max(1.0, float(np.abs(np.concatenate([r, r_alt])).max()))
-            assert np.abs(got - want).max() <= tol
+            assert (np.abs(got - want) <= tol + sweep_roundoff(r, a, b, pos, r_alt, want)).all()
 
 
 class TestTreeScaling:
