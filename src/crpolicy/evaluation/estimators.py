@@ -15,7 +15,7 @@ import numpy as np
 
 from ..data import ArmIndex, Dataset
 from ..policy import Policy
-from ..subproblem import _validated_bounds, box_order, box_rows, solve_box, solve_budgeted
+from ..subproblem import _validated_bounds, arm_budget, box_order, box_rows, budgeted_rows, solve_box, solve_budgeted
 from ..uncertainty import UncertaintySpec
 
 __all__ = [
@@ -81,33 +81,43 @@ def worst_case_solution(r: np.ndarray, spec: UncertaintySpec, arms: ArmIndex):
 
 class ArmKernel:
     """The weights `worst_case_solution` gives each row of stacked contrasts,
-    bit for bit. Box bounds are validated once per spec, and each arm keeps
-    its stable order by b - a for `subproblem.box_order`, which sorts each
-    row on (r, b - a, index) as `solve_box` does. An arm whose contrasts
-    tied on the previous call is sorted stably at once, so contrasts that
-    tie at every step (binary outcomes) are not sorted twice. A budgeted
-    spec solves each row's arms with `solve_budgeted`."""
+    bit for bit. A spec's bounds are validated once, and each arm keeps its
+    stable order by b - a for `subproblem.box_order`, which sorts each row
+    on (r, b - a, index) as `solve_box` does. An arm whose contrasts tied on
+    the previous call is sorted stably at once, so contrasts that tie at
+    every step (binary outcomes) are not sorted twice. A budgeted spec's
+    nominal weights and budgets are checked once too, into one `ArmBudget`
+    per arm, and all of an arm's rows go through `budgeted_rows`, the core
+    that `solve_budgeted` runs on one row. They start from their box solve,
+    unless the budget binds on every row whatever the contrasts. An arm
+    with lam = 0 takes its nominal weights."""
 
     def __init__(self, spec: UncertaintySpec, arms: ArmIndex):
-        self.spec = spec
         self.parts = _arm_parts(spec, arms, sum(idx.size for idx in arms.indices), "ArmKernel")
         for *_, a, b in self.parts:
             _validated_bounds(a, b)
         self.pre = [np.argsort(b - a, kind="stable") for *_, a, b in self.parts]
         self.tied = [False] * len(self.parts)
+        self.budgets = [None] * len(self.parts)
+        if spec.budgeted:
+            self.budgets = [arm_budget(a, b, w, float(lam)) for (_, w, a, b), lam in zip(self.parts, spec.lam)]
 
     def shares(self, r: np.ndarray) -> np.ndarray:
         """W_i / (sum of W over unit i's arm) for each row of r (R, n), at the row's worst-case W."""
         if not np.isfinite(r).all():
             raise ValueError("r, a, b must be finite")
         out = np.empty_like(r)
-        for t, (idx, w, a, b) in enumerate(self.parts):
+        for t, ((idx, _, a, b), budget) in enumerate(zip(self.parts, self.budgets)):
+            if budget is not None and budget.total == 0.0:  # lam = 0: the nominal weights in every row
+                out[:, idx] = budget.w_tilde / budget.w_sum
+                continue
             rt = r.take(idx, axis=1)  # C order: r[:, idx] is column-major
-            if self.spec.budgeted:
-                W = np.array([solve_budgeted(row, a, b, w, float(self.spec.lam[t])).weights for row in rt])
-            else:
+            W = None  # no box solve for a budget that binds on every row
+            if budget is None or not budget.binds:
                 order, self.tied[t] = box_order(rt, a, b, self.pre[t], self.tied[t])
                 W = box_rows(rt, a, b, order)[1]
+            if budget is not None:
+                W = budgeted_rows(rt, budget, W)[0]
             # W is in C order, so each row sums as the 1-D W[idx] of one row does.
             out[:, idx] = W / W.sum(axis=1)[:, None]
         return out

@@ -16,15 +16,20 @@ fractional knapsack. The exact references that check them (corner
 enumeration for the box, a Charnes-Cooper LP for the budget) live with the
 tests.
 
-All functions operate on one treatment arm at a time; `box_rows`, the box
-core, solves many rows of contrasts at once and `solve_box` is its one-row
-view. The callers that slice the data per arm are in `evaluation.estimators`.
+All functions operate on one treatment arm at a time. Each set's core
+solves many rows of contrasts at once: `box_rows` for the box, with
+`solve_box` its one-row view, and `budgeted_rows` for the budget, with
+`solve_budgeted` its one-row view. The budgeted core takes the arm's
+nominal weights and budget checked once, as an `ArmBudget`, and the rows'
+box weights for their slack test, unless the budget binds on every row.
+The callers that slice the data per arm are in `evaluation.estimators`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import repeat
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -172,10 +177,29 @@ def solve_box(r, a, b) -> SubproblemSolution:
     return SubproblemSolution(value=float(lams[0, k_star]), weights=weights[0], threshold=k_star + 1)
 
 
-def _validated_budget(r, a, b, w_tilde, lam) -> tuple:
-    r, a, b = _validated(r, a, b)
-    w_tilde = np.asarray(w_tilde, dtype=float).reshape(-1)
-    if w_tilde.shape != r.shape:
+class ArmBudget(NamedTuple):
+    """One arm's checked nominal weights and budget lam, as the Dinkelbach
+    steps read them, and whether the budget binds on every row."""
+
+    w_tilde: np.ndarray
+    up: np.ndarray  # b - w_tilde
+    down: np.ndarray  # w_tilde - a
+    total: float  # lam k, the budget on sum |W - w_tilde|
+    w_sum: float
+    binds: bool
+
+
+def arm_budget(a, b, w_tilde, lam) -> ArmBudget:
+    """The `ArmBudget` of nominal weights inside one arm's checked bounds.
+
+    The budget binds on every row when even the box corner nearest to
+    w_tilde overspends it: each box weight is a_i or b_i, so no row's box
+    weights deviate by less than sum min(|up|, |down|). A float sum of k
+    terms of one sign is within (k - 1) eps/2 of the exact sum, relatively,
+    and the margin 3 k eps covers both sums compared.
+    """
+    w_tilde = np.ascontiguousarray(w_tilde, dtype=float).reshape(-1)
+    if w_tilde.shape != a.shape:
         raise ValueError("w_tilde must match r in length")
     if not np.all(np.isfinite(w_tilde)):
         raise ValueError("nominal weights must be finite")
@@ -183,9 +207,13 @@ def _validated_budget(r, a, b, w_tilde, lam) -> tuple:
         raise ValueError("nominal weights must lie inside [a, b]")
     if not np.isfinite(lam) or lam < 0.0:
         raise ValueError(f"budget must be a finite real >= 0, got {lam}")
-    return r, a, b, w_tilde
+    up, down, k = b - w_tilde, w_tilde - a, w_tilde.size
+    least = float(np.minimum(np.abs(up), np.abs(down)).sum())
+    total = lam * k
+    return ArmBudget(w_tilde, up, down, total, w_tilde.sum(), least * (1.0 - 3.0 * k * _EPS) > total + 1e-12)
 
 
+_EPS = float(np.finfo(float).eps)
 _MAX_DINKELBACH_STEPS = 100
 
 
@@ -193,51 +221,88 @@ def solve_budgeted(r, a, b, w_tilde, lam: float) -> SubproblemSolution:
     """Maximize sum(r W) / sum(W) over the box intersected with the budget
     (1/k) sum_i |W_i - W_tilde_i| <= lam, exactly.
 
-    Dinkelbach's ratio iteration: starting from the nominal value, each
-    step maximizes sum((r - value) W) over the set, a fractional knapsack
-    solved greedily in O(k log k), and takes the ratio of the maximizer as
-    the next value. The value rises strictly until it is optimal and the
-    knapsack has finitely many greedy orders, so the iteration stops after
-    a few steps. `multiplier` is the budget's marginal gain at the optimum.
+    `budgeted_rows` for one row, from its box solve (`box_order`,
+    `box_rows`). `multiplier` is the budget's marginal gain at the optimum.
     """
-    r, a, b, w_tilde = _validated_budget(r, a, b, w_tilde, lam)
+    r, a, b = _validated(r, a, b)
+    budget = arm_budget(a, b, w_tilde, lam)
     if lam == 0.0:
-        return SubproblemSolution(value=float(np.dot(r, w_tilde) / w_tilde.sum()), weights=w_tilde.copy())
-    total = lam * r.size
-    # A slack budget cannot bind: fall back to the plain box solution.
-    box = solve_box(r, a, b)
-    if np.abs(box.weights - w_tilde).sum() <= total + 1e-12:
-        return SubproblemSolution(box.value, box.weights, multiplier=0.0)
-    weights = w_tilde.copy()
-    value = float(np.dot(r, weights) / weights.sum())
+        return SubproblemSolution(value=float(np.dot(r, budget.w_tilde) / budget.w_sum), weights=budget.w_tilde.copy())
+    rows = r[None]
+    lams, box = box_rows(rows, a, b, box_order(rows, a, b)[0])
+    weights, binding, values, multipliers = budgeted_rows(rows, budget, box)
+    if binding.size:
+        return SubproblemSolution(float(values[0]), weights[0], multiplier=float(multipliers[0]))
+    return SubproblemSolution(float(lams[0, np.argmax(lams[0])]), weights[0], multiplier=0.0)
+
+
+def budgeted_rows(r, budget: ArmBudget, box=None) -> tuple:
+    """The budgeted solve of the rows of r (R, k) of one arm with a budget
+    lam > 0, given the rows' box weights `box` unless `budget.binds`.
+
+    A row whose box weights fit in the budget keeps them. The others run
+    Dinkelbach's ratio iteration side by side: from the nominal value, each
+    step maximizes sum((r - value) W) over the set, a fractional knapsack
+    solved greedily, and takes the ratio of the maximizer as the row's next
+    value. A row's value rises strictly until it is optimal, and the
+    knapsack has finitely many greedy orders, so each row stops after a few
+    steps. Returns every row's weights (written over `box`), the indices of
+    the rows whose budget binds, and their values and multipliers (the gain
+    of the last unit the final knapsack reached).
+    """
+    if box is None:
+        weights, binding = np.empty(r.shape), np.arange(len(r))
+    else:
+        weights = box
+        binding = np.flatnonzero(~(np.abs(box - budget.w_tilde).sum(axis=1) <= budget.total + 1e-12))
+    values, multipliers = np.empty(binding.size), np.empty(binding.size)
+    if not binding.size:
+        return weights, binding, values, multipliers
+    live, current = np.arange(binding.size), budget.w_tilde
+    rows = r if binding.size == len(r) else r[binding]
+    # Each value is a row's dot over its weights' sum, as a 1-D solve takes it.
+    value = np.fromiter(map(np.dot, rows, repeat(current)), float, live.size) / budget.w_sum
     for _ in range(_MAX_DINKELBACH_STEPS):
-        step, gain = _fractional_knapsack(r - value, a, b, w_tilde, total)
-        step_value = float(np.dot(r, step) / step.sum())
-        if step_value <= value:
-            return SubproblemSolution(value=value, weights=weights, multiplier=gain)
-        weights, value = step, step_value
+        step, last_gain = _fractional_knapsack(rows - value[:, None], budget)
+        step_value = np.fromiter(map(np.dot, rows, step), float, live.size) / step.sum(axis=1)
+        done = step_value <= value
+        if done.any():
+            out = live[done]
+            weights[binding[out]] = current if current.ndim == 1 else current[done]  # 1-D: the nominal
+            values[out], multipliers[out] = value[done], last_gain(done)
+            if done.all():
+                return weights, binding, values, multipliers
+            more = ~done
+            live, rows, step, step_value = live[more], rows[more], step[more], step_value[more]
+        current, value = step, step_value
     raise SolverError(f"Dinkelbach iteration did not settle in {_MAX_DINKELBACH_STEPS} steps")
 
 
-def _fractional_knapsack(score, a, b, w_tilde, total) -> tuple:
-    """Maximize score' W over the box subject to sum |W - W~| <= total.
+def _fractional_knapsack(score, budget: ArmBudget) -> tuple:
+    """Maximize each row's score' W (R, k) over the box subject to
+    sum |W - W~| <= total.
 
     Each unit moves only the way its score rewards and earns |score_i| per
-    unit of budget, so the greedy order by gain is exact: the cumulative
-    caps in that order say how much budget is left for each unit. Returns
-    the maximizer and the gain of the last unit the budget reaches (0 when
-    every rewarded move fits in the budget).
+    unit of budget, so the greedy order by gain (stable) is exact: the
+    cumulative caps in that order say how much budget is left for each
+    unit. Returns the maximizers, and a function of a row mask that gives
+    those rows' gain of the last unit the budget reaches (0 when every
+    rewarded move fits in the budget), taken only for rows that finish.
     """
     gain = np.abs(score)
-    cap = np.where(score > 0, b - w_tilde, np.where(score < 0, w_tilde - a, 0.0))
-    order = np.argsort(-gain, kind="stable")
-    cap_sorted = cap[order]
-    spent = np.cumsum(cap_sorted)
-    move_sorted = np.clip(total - (spent - cap_sorted), 0.0, cap_sorted)
-    move = np.empty_like(move_sorted)
-    move[order] = move_sorted
-    weights = w_tilde + np.sign(score) * move
-    if spent[-1] <= total:
-        return weights, 0.0
-    last = np.flatnonzero(move_sorted > 0.0)[-1]
-    return weights, float(gain[order[last]])
+    cap = np.where(score > 0, budget.up, np.where(score < 0, budget.down, 0.0))
+    flat, cap_sorted = _sorted_rows(cap, np.argsort(-gain, axis=1, kind="stable"))
+    spent = np.cumsum(cap_sorted, axis=1)
+    move_sorted = np.clip(budget.total - (spent - cap_sorted), 0.0, cap_sorted)
+    weights = np.empty_like(move_sorted)
+    weights.reshape(-1)[flat] = move_sorted
+    weights *= np.sign(score)
+    weights += budget.w_tilde  # w_tilde + sign(score) * move
+
+    def last_gain(rows):
+        reached = move_sorted[rows, ::-1] > 0.0
+        last = reached.shape[1] - 1 - reached.argmax(axis=1)
+        at = flat[rows][np.arange(last.size), last]
+        return np.where(spent[rows, -1] <= budget.total, 0.0, np.take(gain, at))
+
+    return weights, last_gain

@@ -65,8 +65,8 @@ class UncertaintySpec:
             raise ValueError("w_tilde, a, b must have equal length")
         if self.lam is not None:
             lam = np.ascontiguousarray(self.lam, dtype=float)
-            if lam.size and lam.min() < 0:
-                raise ValueError("per-arm budgets must be non-negative")
+            if not (np.isfinite(lam).all() and np.all(lam >= 0.0)):
+                raise ValueError(f"per-arm budgets must be finite and non-negative, got {lam.tolist()}")
             lam.flags.writeable = False
             object.__setattr__(self, "lam", lam)
 

@@ -3,16 +3,24 @@
 `oracle_box` enumerates every corner of the weight box; `oracle_budgeted`
 solves the Charnes-Cooper linearization of the budgeted problem with the
 dense simplex in `crpolicy.simplex`. Both are slow by design and refuse
-large instances.
+large instances. `reference_budgeted` is the budgeted solver as it was
+before its stacked-row core: one row's Dinkelbach iteration, a fresh greedy
+knapsack per step. The core must give its value, weights and multiplier
+bit for bit.
 """
 
 import numpy as np
 
 from crpolicy.exceptions import SolverError
 from crpolicy.simplex import simplex_solve
-from crpolicy.subproblem import SubproblemSolution, _validated, _validated_budget
+from crpolicy.subproblem import SubproblemSolution, _validated, arm_budget, solve_box
 
 _MASK_CACHE: dict = {}
+
+
+def _validated_budget(r, a, b, w_tilde, lam) -> tuple:
+    r, a, b = _validated(r, a, b)
+    return r, a, b, arm_budget(a, b, w_tilde, lam).w_tilde
 
 
 def _corner_masks(k: int) -> np.ndarray:
@@ -100,3 +108,42 @@ def oracle_budgeted(r, a, b, w_tilde, lam: float) -> SubproblemSolution:
     # The min-form dual of the budget row is <= 0; the reported multiplier is its negation.
     eta = float(max(0.0, -res.dual_ub[4 * k]))
     return SubproblemSolution(value=value, weights=weights, multiplier=eta)
+
+
+def reference_budgeted(r, a, b, w_tilde, lam: float) -> SubproblemSolution:
+    """Bit reference for solve_budgeted: Dinkelbach's ratio iteration on one
+    row, from the nominal value, each step a greedy fractional knapsack."""
+    r, a, b, w_tilde = _validated_budget(r, a, b, w_tilde, lam)
+    if lam == 0.0:
+        return SubproblemSolution(value=float(np.dot(r, w_tilde) / w_tilde.sum()), weights=w_tilde.copy())
+    total = lam * r.size
+    box = solve_box(r, a, b)
+    if np.abs(box.weights - w_tilde).sum() <= total + 1e-12:
+        return SubproblemSolution(box.value, box.weights, multiplier=0.0)
+    weights = w_tilde.copy()
+    value = float(np.dot(r, weights) / weights.sum())
+    for _ in range(100):
+        step, gain = _reference_knapsack(r - value, a, b, w_tilde, total)
+        step_value = float(np.dot(r, step) / step.sum())
+        if step_value <= value:
+            return SubproblemSolution(value=value, weights=weights, multiplier=gain)
+        weights, value = step, step_value
+    raise SolverError("Dinkelbach iteration did not settle in 100 steps")
+
+
+def _reference_knapsack(score, a, b, w_tilde, total) -> tuple:
+    """Maximize score' W over the box subject to sum |W - W~| <= total, by
+    gain |score| in stable order; the maximizer and the last gain reached."""
+    gain = np.abs(score)
+    cap = np.where(score > 0, b - w_tilde, np.where(score < 0, w_tilde - a, 0.0))
+    order = np.argsort(-gain, kind="stable")
+    cap_sorted = cap[order]
+    spent = np.cumsum(cap_sorted)
+    move_sorted = np.clip(total - (spent - cap_sorted), 0.0, cap_sorted)
+    move = np.empty_like(move_sorted)
+    move[order] = move_sorted
+    weights = w_tilde + np.sign(score) * move
+    if spent[-1] <= total:
+        return weights, 0.0
+    last = np.flatnonzero(move_sorted > 0.0)[-1]
+    return weights, float(gain[order[last]])

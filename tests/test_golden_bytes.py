@@ -79,6 +79,8 @@ def _commands(tmp):
         "fit-box4": ["fit", *inp("box4"), "--gamma", "1.3", "--iters", "20", "--restarts", "3", "--no-fallback"],
         "fit-box-n20k": ["fit", *inp("box-n20k"), "--gamma", "1.2", "--iters", "5", "--restarts", "2", "--no-fallback"],
         "fit-rho": ["fit", *inp("rho"), "--gamma", "1.5", "--rho", "0.2", "--iters", "10", "--restarts", "1"],
+        "fit-rho0": ["fit", *inp("rho"), "--gamma", "1.5", "--rho", "0", "--iters", "10", "--restarts", "1"],
+        "fit-rho-binary": ["fit", *inp("binary"), "--gamma", "1.5", "--rho", "0.2", "--iters", "10", "--restarts", "3"],
         "fit-binary": ["fit", *inp("binary"), "--gamma", "1,1.5", "--iters", "25", "--restarts", "2", "--seed", "3"],
         "fit-tree": ["fit", *inp("tree"), "--policy", "tree", "--depth", "2", "--min-leaf", "10", "--gamma", "1.5"],
         "fit-tree-binary": ["fit", *inp("binary"), "--policy", "tree", "--depth", "2", "--min-leaf", "20", "--gamma", "1.5"],
@@ -87,6 +89,10 @@ def _commands(tmp):
         "simulate": [
             "simulate", "--preset", "binary-sec7", "--reps", "1", "--n", "60", "--test-n", "200",
             "--gamma", "1,1.5", "--iters", "10", "--restarts", "2", "--seed", "5",
+        ],
+        "simulate-rho": [
+            "simulate", "--preset", "binary-sec7", "--reps", "1", "--n", "60", "--test-n", "200",
+            "--gamma", "1,1.5", "--rho", "0.3", "--iters", "10", "--restarts", "2", "--seed", "5",
         ],
         "calibrate": ["calibrate", *inp("box"), "--gamma", "1,1.5,2", "--iters", "10", "--restarts", "1"],
         "evaluate": [
@@ -138,6 +144,14 @@ GOLDEN = {
         "stdout": "32eda3f917fc4e4852074bdb9da140266c6bc0b7ab3c956c72b81a362d536020",
         "fit.json": "760da546fbade1aeb395b408eb0a3d97846e0ab11c0b0ecb66b882198c56cd46",
     },
+    "fit-rho0": {
+        "stdout": "32eda3f917fc4e4852074bdb9da140266c6bc0b7ab3c956c72b81a362d536020",
+        "fit.json": "67507241a3feaccf228c25b2810ccc153c890fe1896aa27bbe1841f55557ac2d",
+    },
+    "fit-rho-binary": {
+        "stdout": "32eda3f917fc4e4852074bdb9da140266c6bc0b7ab3c956c72b81a362d536020",
+        "fit.json": "5d41a80ab2462d3010ca1f3cdfb2ced1bc4b86e2135f3054287167dd36f3ed18",
+    },
     "fit-binary": {
         "stdout": "b4f19cbdcac19800ae5ceb9aa0a66458f404445b6c67ba46484e58adc6327500",
         "fit.json": "3bedd2d3b27747387ca6c2007b56e0d7c16ce767547fe470b032aef0ae7179a4",
@@ -164,6 +178,12 @@ GOLDEN = {
         "dataset_rep000.csv": "270e1bb0138911e978f15045641cf8d1df6d7b7cd3d06d61be83090e32892978",
         "regret_curves.csv": "63de77f0cc2f34b30883d751009089fdf49da93cfcac22b2d7bb971ce8e1d78a",
         "summary.json": "cd0b76764ca56643100ec6dd0cdbf348e77133a89cfcff706c575229f5e700fd",
+    },
+    "simulate-rho": {
+        "stdout": "af7380b0e3918734e522332dc4fd4dece0f511ff867c2e465976d8027de1dc4d",
+        "dataset_rep000.csv": "270e1bb0138911e978f15045641cf8d1df6d7b7cd3d06d61be83090e32892978",
+        "regret_curves.csv": "75512d37a95384b0d044c4d63d8ce4d740322b1f5d677f8c9c0886b8bdb80c67",
+        "summary.json": "5437933bed5b98b755a31f2f7a16cb46a8e19ba7933eb92149cd47d2cdb08359",
     },
     "calibrate": {
         "stdout": "0aa5989f3e82f71496bbf3f5f99537ae9fa861d37d92109bc9a22f0498897b44",

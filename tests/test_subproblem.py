@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from crpolicy import solve_box, solve_budgeted, weight_bounds
 from crpolicy.evaluation.estimators import ArmKernel
-from crpolicy.subproblem import box_order, box_rows, threshold_values
-from oracles import oracle_box, oracle_budgeted
+from crpolicy.subproblem import arm_budget, box_order, box_rows, budgeted_rows, threshold_values
+from oracles import oracle_box, oracle_budgeted, reference_budgeted
 
 
 def _random_instance(rng, k=None, gamma=None):
@@ -295,6 +295,102 @@ class TestSolveBudgeted:
             assert elapsed < 2.0, f"solve_budgeted took {elapsed:.2f}s at k={k}"
 
 
+def _same_solution(sol, ref):
+    """Value, weights and multiplier equal to the bit (a NaN value equals a NaN)."""
+    assert np.float64(sol.value).tobytes() == np.float64(ref.value).tobytes()
+    assert sol.weights.tobytes() == ref.weights.tobytes()
+    assert (sol.multiplier is None) == (ref.multiplier is None)
+    if ref.multiplier is not None:
+        assert np.float64(sol.multiplier).tobytes() == np.float64(ref.multiplier).tobytes()
+
+
+class TestBudgetedCore:
+    """`solve_budgeted` and the kernel's budgeted rows equal the one-row
+    Dinkelbach loop they replaced (`reference_budgeted`), to the bit."""
+
+    @staticmethod
+    def _contrasts(rng, kind, rows, k):
+        r = rng.standard_normal((rows, k))
+        if kind == "rounded":
+            r = np.round(r, 1)
+        elif kind == "binary":  # (pi - pi0) Y with Y in {0, 1}: zeros of either sign, coarse values
+            r = np.round(rng.uniform(-1.0, 1.0, (rows, k)), 2) * (rng.random((rows, k)) < 0.5)
+            r[r == 0.0] *= np.where(rng.random(np.count_nonzero(r == 0.0)) < 0.5, -1.0, 1.0)
+        return r
+
+    @staticmethod
+    def _budget(rng, mode, r, a, b, w):
+        """lam = 0, a budget that binds on every row, one slack on every row, or
+        the median row's box deviation per unit, so slack and binding rows mix."""
+        k = r.shape[1]
+        if mode == "zero":
+            return 0.0
+        if mode == "slack":
+            return float(np.maximum(w - a, b - w).mean())
+        if mode == "binding":
+            return float(rng.uniform(0.02, 0.3)) * float(np.maximum(w - a, b - w).mean())
+        return float(np.median([np.abs(solve_box(row, a, b).weights - w).sum() for row in r])) / k
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 150),
+        st.integers(1, 60),
+        st.sampled_from(["normal", "rounded", "binary"]),
+        st.sampled_from(["zero", "binding", "slack", "mixed"]),
+        st.sampled_from([1.0, 1.5, 3.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_reference_loop(self, rows, k0, k1, kind, mode, gamma, seed):
+        from crpolicy import Dataset, UncertaintySpec
+
+        rng = np.random.default_rng(seed)
+        T = rng.permutation(np.repeat([0, 1], [k0, k1]))
+        data = Dataset(X=np.zeros((T.size, 1)), T=T, Y=np.ones(T.size), m=2,
+                       e_hat=rng.choice([0.1, 0.25, 0.5, 0.8], T.size))
+        spec = UncertaintySpec.from_dataset(data, gamma)
+        r = self._contrasts(rng, kind, rows, T.size)
+        lams = []
+        for idx in data.arms().indices:
+            w, a, b = spec.restrict(idx)
+            lams.append(self._budget(rng, mode, r[:, idx], a, b, w))
+        spec = spec.with_budget(lams)
+        shares = ArmKernel(spec, data.arms()).shares(r)
+        for idx, lam in zip(data.arms().indices, lams):
+            w, a, b = spec.restrict(idx)
+            for j in range(rows):
+                ref = reference_budgeted(r[j, idx], a, b, w, lam)
+                _same_solution(solve_budgeted(r[j, idx], a, b, w, lam), ref)
+                assert shares[j, idx].tobytes() == (ref.weights / ref.weights.sum()).tobytes()
+
+    def test_binds_only_past_the_nearest_corner(self):
+        # No box corner deviates from w_tilde by less than the nearest one.
+        rng = np.random.default_rng(22)
+        _, a, b, w = _random_instance(rng, k=30, gamma=2.0)
+        least = float(np.minimum(b - w, w - a).sum())
+        assert arm_budget(a, b, w, least / 30 * (1 - 1e-9)).binds
+        assert not arm_budget(a, b, w, least / 30).binds
+
+    def test_one_block_mixes_slack_and_binding_rows(self):
+        rng = np.random.default_rng(21)
+        r = self._contrasts(rng, "rounded", 6, 40)
+        _, a, b, w = _random_instance(rng, k=40, gamma=2.0)
+        lam = self._budget(rng, "mixed", r, a, b, w)
+        budget = arm_budget(a, b, w, lam)
+        assert not budget.binds
+        box = box_rows(r, a, b, box_order(r, a, b)[0])[1]
+        weights, binding, values, multipliers = budgeted_rows(r, budget, box)
+        assert 0 < binding.size < len(r)
+        for j, row in enumerate(r):
+            ref = reference_budgeted(row, a, b, w, lam)
+            _same_solution(solve_budgeted(row, a, b, w, lam), ref)
+            assert weights[j].tobytes() == ref.weights.tobytes()
+            assert (ref.multiplier == 0.0) == (j not in binding)
+        for j, value, multiplier in zip(binding, values, multipliers):
+            ref = reference_budgeted(r[j], a, b, w, lam)
+            assert (value, multiplier) == (ref.value, ref.multiplier)
+
+
 def _tied_rows(rng, rows):
     """A block of contrast rows over one arm's bounds, with heavy ties in r
     and in b - a (and some signed zeros in r)."""
@@ -413,8 +509,9 @@ class TestBoxRows:
                 for row, row_order in zip(r, order):
                     assert np.array_equal(row_order, np.lexsort((b - a, row)))
 
+    @pytest.mark.parametrize("rho", [None, 0.2, 0.8])
     @pytest.mark.parametrize("rows", [1, 3])
-    def test_kernel_on_binary_contrasts_equals_worst_case_solution(self, rows, monkeypatch):
+    def test_kernel_on_binary_contrasts_equals_worst_case_solution(self, rows, rho, monkeypatch):
         from crpolicy import Dataset, UncertaintySpec
         from crpolicy.evaluation import estimators
         from crpolicy.evaluation.estimators import worst_case_solution
@@ -429,14 +526,18 @@ class TestBoxRows:
         n = 2 * 10**4
         data = Dataset(X=np.zeros((n, 1)), T=np.arange(n) % 2, Y=np.ones(n), m=2,
                        e_hat=rng.choice([0.2, 0.5, 0.8], n))
-        spec = UncertaintySpec.from_dataset(data, 1.5)
+        spec = UncertaintySpec.from_dataset(data, 1.5, rho=rho)
         kernel = ArmKernel(spec, data.arms())
+        # At rho = 0.2 every box corner overspends the budget (the nearer bound is 2/3 of the
+        # farther one at gamma = 1.5), so no row needs the box solve and nothing is sorted.
+        sorts = rho != 0.2
+        assert [budget is None or not budget.binds for budget in kernel.budgets] == [sorts, sorts]
         tied = self._binary_contrasts(rng, rows, n)
         distinct = rng.standard_normal((rows, n))
         # Tied, then not, then tied again: the kernel's stable-first guess follows the last call.
         for r, flags in ((tied, [True, True]), (distinct, [False, False]), (tied, [True, True])):
             shares = kernel.shares(r)
-            assert kernel.tied == flags
+            assert kernel.tied == (flags if sorts else [False, False])
             for j in range(rows):
                 W, _ = worst_case_solution(r[j], spec, data.arms())
                 for idx in data.arms().indices:

@@ -108,6 +108,14 @@ class TestSpec:
         with pytest.raises(ValueError):
             UncertaintySpec.from_weights(np.array([2.0]), 1.5, lam=[-0.1])
 
+    @pytest.mark.parametrize("lam", [[np.nan], [np.inf], [0.1, -np.inf], [-0.1]])
+    def test_bad_budgets_refused_when_built(self, lam):
+        message = "per-arm budgets must be finite and non-negative"
+        with pytest.raises(ValueError, match=message):
+            UncertaintySpec.from_weights([2.0, 3.0, 4.0], 1.5, lam=lam)
+        with pytest.raises(ValueError, match=message):
+            UncertaintySpec.from_weights([2.0, 3.0, 4.0], 1.5).with_budget(lam)
+
     def test_immutable(self):
         spec = UncertaintySpec.from_weights(np.array([2.0]), 1.5)
         with pytest.raises(ValueError):
