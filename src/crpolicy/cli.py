@@ -310,17 +310,27 @@ def _load_with_propensities(cfg: dict, gammas: List[float]) -> Dataset:
                 f"{cfg['input']}: {exc}; rescale its covariates or give the propensities with --propensity-col"
             ) from None
         data = data.with_propensities(e_hat)
-    _check_gammas(data, gammas)
+    _check_gammas(data, gammas, schema.outcome)
     return data
 
 
-def _check_gammas(data: Dataset, gammas: List[float]) -> None:
-    """Refuse, naming --gamma, a grid whose weight bounds overflow on data.
+def _check_gammas(data: Dataset, gammas: List[float], outcome: str) -> None:
+    """Refuse, naming --gamma, a grid whose weight bounds overflow on data,
+    and, naming the outcome column, outcomes whose weighted sums overflow.
     Bounds widen with gamma, so the largest one is the one to check."""
     try:
-        weight_bounds(1.0 / data.e_hat, gammas[-1])
+        b_max = float(weight_bounds(1.0 / data.e_hat, gammas[-1])[1].max(initial=0.0))
     except ValueError as exc:
         raise CRPolicyError(f"--gamma: {exc}") from None
+    # A contrast r_i = (pi - pi0)(T_i | X_i) Y_i has |r_i| <= |Y_i|, so each
+    # term W_i r_i or (a_i - b_i) r_i a solver sums is within b_max y_max. The
+    # box scan's numerators add a prefix sum to a difference of two sums (3 n
+    # terms), and the split screen's add a unit's flip b_i (r_alt - r_i) per
+    # step to sum b r and then active spans (at most 4 n): 4 n covers both.
+    y_max = float(np.abs(data.Y).max(initial=0.0))
+    if not np.isfinite(4.0 * data.n * b_max * y_max):
+        raise CRPolicyError(f"column {outcome!r} is too large in magnitude for gamma={gammas[-1]:g}: "
+                            f"outcomes up to {y_max:g} overflow the weighted sums")
 
 
 def _baseline(cfg: dict, data: Dataset) -> Policy:
@@ -436,7 +446,7 @@ def _simulate_one(cfg: dict, gammas: List[float], opts: FitOptions, rep: int):
     # counterfactuals, mirroring the replication design.
     test = generate(params(n=cfg["test_n"], seed=_rep_seed(opts.seed, rep, stream=1))).data
     data = sim.data
-    _check_gammas(data, gammas)
+    _check_gammas(data, gammas, "y")
     pi0 = _baseline(cfg, data)
     rho = cfg.get("rho")
 

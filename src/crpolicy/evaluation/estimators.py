@@ -15,7 +15,7 @@ import numpy as np
 
 from ..data import ArmIndex, Dataset
 from ..policy import Policy
-from ..subproblem import _validated_bounds, arm_budget, box_order, box_rows, budgeted_rows, solve_box, solve_budgeted
+from ..subproblem import _validated_bounds, arm_budget, solve_box, solve_budgeted, solve_rows
 from ..uncertainty import UncertaintySpec
 
 __all__ = [
@@ -70,10 +70,8 @@ def worst_case_solution(r: np.ndarray, spec: UncertaintySpec, arms: ArmIndex):
     W = np.empty(spec.n)
     total = 0.0
     for t, (idx, w, a, b) in enumerate(_arm_parts(spec, arms, r.size, "worst_case_solution")):
-        if spec.budgeted:
-            sol = solve_budgeted(r[idx], a, b, w, float(spec.lam[t]))
-        else:
-            sol = solve_box(r[idx], a, b)
+        # By name, not `solve_rows`: perfbench's tracer and self-test substitute these two.
+        sol = solve_budgeted(r[idx], a, b, w, float(spec.lam[t])) if spec.budgeted else solve_box(r[idx], a, b)
         W[idx] = sol.weights
         total += sol.value
     return W, total
@@ -81,16 +79,12 @@ def worst_case_solution(r: np.ndarray, spec: UncertaintySpec, arms: ArmIndex):
 
 class ArmKernel:
     """The weights `worst_case_solution` gives each row of stacked contrasts,
-    bit for bit. A spec's bounds are validated once, and each arm keeps its
-    stable order by b - a for `subproblem.box_order`, which sorts each row
-    on (r, b - a, index) as `solve_box` does. An arm whose contrasts tied on
-    the previous call is sorted stably at once, so contrasts that tie at
-    every step (binary outcomes) are not sorted twice. A budgeted spec's
-    nominal weights and budgets are checked once too, into one `ArmBudget`
-    per arm, and all of an arm's rows go through `budgeted_rows`, the core
-    that `solve_budgeted` runs on one row. They start from their box solve,
-    unless the budget binds on every row whatever the contrasts. An arm
-    with lam = 0 takes its nominal weights."""
+    bit for bit: one `subproblem.solve_rows` per arm. A spec's bounds are
+    validated once, and each arm keeps its stable order by b - a for the
+    sort. An arm whose contrasts tied on the previous call is sorted stably
+    at once, so contrasts that tie at every step (binary outcomes) are not
+    sorted twice. A budgeted spec's nominal weights and budgets are checked
+    once too, into one `ArmBudget` per arm."""
 
     def __init__(self, spec: UncertaintySpec, arms: ArmIndex):
         self.parts = _arm_parts(spec, arms, sum(idx.size for idx in arms.indices), "ArmKernel")
@@ -108,16 +102,8 @@ class ArmKernel:
             raise ValueError("r, a, b must be finite")
         out = np.empty_like(r)
         for t, ((idx, _, a, b), budget) in enumerate(zip(self.parts, self.budgets)):
-            if budget is not None and budget.total == 0.0:  # lam = 0: the nominal weights in every row
-                out[:, idx] = budget.w_tilde / budget.w_sum
-                continue
             rt = r.take(idx, axis=1)  # C order: r[:, idx] is column-major
-            W = None  # no box solve for a budget that binds on every row
-            if budget is None or not budget.binds:
-                order, self.tied[t] = box_order(rt, a, b, self.pre[t], self.tied[t])
-                W = box_rows(rt, a, b, order)[1]
-            if budget is not None:
-                W = budgeted_rows(rt, budget, W)[0]
+            W, _, _, self.tied[t] = solve_rows(rt, a, b, budget, self.pre[t], self.tied[t])
             # W is in C order, so each row sums as the 1-D W[idx] of one row does.
             out[:, idx] = W / W.sum(axis=1)[:, None]
         return out

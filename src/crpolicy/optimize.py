@@ -143,7 +143,10 @@ class FitResult:
 
 def _certified(policy: Policy, objective: float, pi0: Policy, fallback: bool, **fit_fields) -> FitResult:
     """`policy` at its worst-case regret `objective`, or, with fallback on and that regret
-    positive, the baseline at objective 0: always feasible, so no fit certifies worse."""
+    positive, the baseline at objective 0: always feasible, so no fit certifies worse.
+    A non-finite objective certifies nothing and is refused."""
+    if not np.isfinite(objective):
+        raise SolverError(f"the worst-case regret is {objective}, not a finite number")
     if fallback and objective > 0.0:
         return FitResult(policy=pi0, objective=0.0, fell_back=True, **fit_fields)
     return FitResult(policy=policy, objective=objective, fell_back=False, **fit_fields)
@@ -645,9 +648,7 @@ class _TreeBuilder:
         return TreeNode(feature=feature, threshold=thr, left=left_node, right=right_node), obj
 
     def _leaf(self, arm: int) -> TreeLeaf:
-        p = np.zeros(self.data.m)
-        p[arm] = 1.0
-        return TreeLeaf(p)
+        return TreeLeaf(np.eye(self.data.m)[arm])
 
 
 def tree_partition_fit(

@@ -129,10 +129,7 @@ class HardenedLogisticPolicy(_ThetaPolicy):
     """Deterministic argmax version of a logistic policy (evaluation-time only)."""
 
     def prob_matrix(self, X: np.ndarray) -> np.ndarray:
-        scores = logistic_scores(self.theta, X)
-        out = np.zeros(scores.shape[::-1])
-        out[np.arange(out.shape[0]), np.argmax(scores, axis=0)] = 1.0
-        return out
+        return np.eye(self.m)[np.argmax(logistic_scores(self.theta, X), axis=0)]
 
 
 def logistic_scores(theta: np.ndarray, X: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -258,9 +255,7 @@ def policy_gradient(pol: Policy, t: int, x) -> np.ndarray:
 
 def control_baseline(m: int) -> ConstantPolicy:
     """The always-assign-arm-0 baseline."""
-    p = np.zeros(m)
-    p[0] = 1.0
-    return ConstantPolicy(p)
+    return ConstantPolicy(np.eye(m)[0])
 
 
 def uniform_baseline(m: int) -> ConstantPolicy:

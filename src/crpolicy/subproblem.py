@@ -16,13 +16,10 @@ fractional knapsack. The exact references that check them (corner
 enumeration for the box, a Charnes-Cooper LP for the budget) live with the
 tests.
 
-All functions operate on one treatment arm at a time. Each set's core
-solves many rows of contrasts at once: `box_rows` for the box, with
-`solve_box` its one-row view, and `budgeted_rows` for the budget, with
-`solve_budgeted` its one-row view. The budgeted core takes the arm's
-nominal weights and budget checked once, as an `ArmBudget`, and the rows'
-box weights for their slack test, unless the budget binds on every row.
-The callers that slice the data per arm are in `evaluation.estimators`.
+All functions operate on one treatment arm at a time. `solve_rows` is the
+one per-arm solve, of stacked rows of contrasts; `solve_box` and
+`solve_budgeted` are its checked one-row views. The callers that slice the
+data per arm are in `evaluation.estimators`.
 """
 
 from __future__ import annotations
@@ -59,9 +56,7 @@ class SubproblemSolution:
 
 
 def _validated(r, a, b) -> tuple:
-    r = np.asarray(r, dtype=float).reshape(-1)
-    a = np.asarray(a, dtype=float).reshape(-1)
-    b = np.asarray(b, dtype=float).reshape(-1)
+    r, a, b = (np.asarray(v, dtype=float).reshape(-1) for v in (r, a, b))
     if r.size == 0:
         raise ValueError("subproblem needs at least one unit")
     if not (r.shape == a.shape == b.shape):
@@ -145,7 +140,8 @@ def _sorted_rows(r, order):
 def box_rows(r, a, b, order):
     """The box solve of each row of r (R, k) over one arm's validated bounds,
     given each row's sort permutation on (r, b - a) ascending: the row's
-    lambda(j), j = 1..k+1, as `threshold_values` gives them, and its weights.
+    lambda(j), j = 1..k+1, as `threshold_values` gives them, its weights,
+    and its argmax: the 0-based count of units at the lower bound.
     """
     rows, k = r.shape
     flat, rs = _sorted_rows(r, order)
@@ -159,22 +155,18 @@ def box_rows(r, a, b, order):
     np.subtract(sums[2:, :, -1:].copy(), sums[2:], out=sums[2:])
     sums[2:] += sums[:2]
     lams = np.divide(sums[2], sums[3], out=sums[2])
-    np.copyto(bs, as_, where=np.arange(k) < lams.argmax(axis=1)[:, None])
+    cut = lams.argmax(axis=1)
+    np.copyto(bs, as_, where=np.arange(k) < cut[:, None])
     np.put(rs, flat, bs)  # the weights, back in the order of r
-    return lams, rs
+    return lams, rs, cut
 
 
 def solve_box(r, a, b) -> SubproblemSolution:
-    """Maximize sum(r W) / sum(W) over the box prod_i [a_i, b_i], exactly.
-
-    O(k log k): sort once (`box_order`), then evaluate every threshold via
-    prefix sums and take the argmax of the unimodal candidate sequence;
-    `box_rows` for one row.
-    """
+    """Maximize sum(r W) / sum(W) over the box prod_i [a_i, b_i], exactly, in
+    O(k log k): `solve_rows` for one row."""
     r, a, b = _validated(r, a, b)
-    lams, weights = box_rows(r[None], a, b, box_order(r[None], a, b)[0])
-    k_star = int(np.argmax(lams[0]))  # 0-based count of units at the lower bound
-    return SubproblemSolution(value=float(lams[0, k_star]), weights=weights[0], threshold=k_star + 1)
+    weights, values, cuts, _ = solve_rows(r[None], a, b)
+    return SubproblemSolution(value=float(values[0]), weights=weights[0], threshold=int(cuts[0]))
 
 
 class ArmBudget(NamedTuple):
@@ -219,26 +211,40 @@ _MAX_DINKELBACH_STEPS = 100
 
 def solve_budgeted(r, a, b, w_tilde, lam: float) -> SubproblemSolution:
     """Maximize sum(r W) / sum(W) over the box intersected with the budget
-    (1/k) sum_i |W_i - W_tilde_i| <= lam, exactly.
-
-    `budgeted_rows` for one row, from its box solve (`box_order`,
-    `box_rows`). `multiplier` is the budget's marginal gain at the optimum.
-    """
+    (1/k) sum_i |W_i - W_tilde_i| <= lam, exactly: `solve_rows` for one row."""
     r, a, b = _validated(r, a, b)
-    budget = arm_budget(a, b, w_tilde, lam)
-    if lam == 0.0:
-        return SubproblemSolution(value=float(np.dot(r, budget.w_tilde) / budget.w_sum), weights=budget.w_tilde.copy())
-    rows = r[None]
-    lams, box = box_rows(rows, a, b, box_order(rows, a, b)[0])
-    weights, binding, values, multipliers = budgeted_rows(rows, budget, box)
-    if binding.size:
-        return SubproblemSolution(float(values[0]), weights[0], multiplier=float(multipliers[0]))
-    return SubproblemSolution(float(lams[0, np.argmax(lams[0])]), weights[0], multiplier=0.0)
+    weights, values, gains, _ = solve_rows(r[None], a, b, arm_budget(a, b, w_tilde, lam))
+    return SubproblemSolution(float(values[0]), weights[0], multiplier=None if gains is None else float(gains[0]))
+
+
+def solve_rows(r, a, b, budget: Optional[ArmBudget] = None, pre=None, stable=False) -> tuple:
+    """The worst case of each row of r (R, k) over one arm's checked bounds,
+    cut by `budget` when given. At lam = 0 every row takes the nominal
+    weights. Otherwise the rows are sorted (`box_order`, with `pre` and
+    `stable`) and solved over the box (`box_rows`), unless the budget binds
+    on every row; a budget's rows then go to `budgeted_rows`. Returns each
+    row's weights, value and diagnostic (the 1-based box cut, or the budget
+    multiplier: 0 for a row that keeps its box weights, None for all at
+    lam = 0), and whether a row tied in r (`stable` when nothing is sorted).
+    """
+    rows = len(r)
+    if budget is not None and budget.total == 0.0:  # lam = 0
+        values = np.fromiter(map(np.dot, r, repeat(budget.w_tilde)), float, rows) / budget.w_sum
+        return np.tile(budget.w_tilde, (rows, 1)), values, None, stable
+    box = None
+    if budget is None or not budget.binds:
+        order, stable = box_order(r, a, b, pre, stable)
+        lams, weights, cut = box_rows(r, a, b, order)
+        box = weights, lams[np.arange(rows), cut]
+        if budget is None:
+            return (*box, cut + 1, stable)
+    return (*budgeted_rows(r, budget, box), stable)
 
 
 def budgeted_rows(r, budget: ArmBudget, box=None) -> tuple:
     """The budgeted solve of the rows of r (R, k) of one arm with a budget
-    lam > 0, given the rows' box weights `box` unless `budget.binds`.
+    lam > 0, given the rows' box weights and values `box` unless
+    `budget.binds`.
 
     A row whose box weights fit in the budget keeps them. The others run
     Dinkelbach's ratio iteration side by side: from the nominal value, each
@@ -246,20 +252,20 @@ def budgeted_rows(r, budget: ArmBudget, box=None) -> tuple:
     solved greedily, and takes the ratio of the maximizer as the row's next
     value. A row's value rises strictly until it is optimal, and the
     knapsack has finitely many greedy orders, so each row stops after a few
-    steps. Returns every row's weights (written over `box`), the indices of
-    the rows whose budget binds, and their values and multipliers (the gain
-    of the last unit the final knapsack reached).
+    steps. Returns every row's weights and value (written over `box`) and
+    multiplier (the gain of the last unit the final knapsack reached, 0 for
+    a row that keeps its box weights).
     """
     if box is None:
-        weights, binding = np.empty(r.shape), np.arange(len(r))
+        weights, values, live = np.empty(r.shape), np.empty(len(r)), np.arange(len(r))
     else:
-        weights = box
-        binding = np.flatnonzero(~(np.abs(box - budget.w_tilde).sum(axis=1) <= budget.total + 1e-12))
-    values, multipliers = np.empty(binding.size), np.empty(binding.size)
-    if not binding.size:
-        return weights, binding, values, multipliers
-    live, current = np.arange(binding.size), budget.w_tilde
-    rows = r if binding.size == len(r) else r[binding]
+        weights, values = box
+        live = np.flatnonzero(~(np.abs(weights - budget.w_tilde).sum(axis=1) <= budget.total + 1e-12))
+    multipliers = np.zeros(len(r))
+    if not live.size:
+        return weights, values, multipliers
+    current = budget.w_tilde
+    rows = r if live.size == len(r) else r[live]
     # Each value is a row's dot over its weights' sum, as a 1-D solve takes it.
     value = np.fromiter(map(np.dot, rows, repeat(current)), float, live.size) / budget.w_sum
     for _ in range(_MAX_DINKELBACH_STEPS):
@@ -268,12 +274,11 @@ def budgeted_rows(r, budget: ArmBudget, box=None) -> tuple:
         done = step_value <= value
         if done.any():
             out = live[done]
-            weights[binding[out]] = current if current.ndim == 1 else current[done]  # 1-D: the nominal
+            weights[out] = current if current.ndim == 1 else current[done]  # 1-D: the nominal
             values[out], multipliers[out] = value[done], last_gain(done)
             if done.all():
-                return weights, binding, values, multipliers
-            more = ~done
-            live, rows, step, step_value = live[more], rows[more], step[more], step_value[more]
+                return weights, values, multipliers
+            live, rows, step, step_value = (x[~done] for x in (live, rows, step, step_value))
         current, value = step, step_value
     raise SolverError(f"Dinkelbach iteration did not settle in {_MAX_DINKELBACH_STEPS} steps")
 

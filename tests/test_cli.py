@@ -453,9 +453,9 @@ class TestConfigAndErrors:
         assert not (tmp_path / "out").exists()
 
     @staticmethod
-    def _csv(path, x0_scale=1.0, n=60):
+    def _csv(path, x0_scale=1.0, n=60, y_scale=1.0):
         rng = np.random.default_rng(0)
-        X, Y = rng.standard_normal((n, 2)), rng.standard_normal(n)
+        X, Y = rng.standard_normal((n, 2)), y_scale * rng.standard_normal(n)
         rows = [f"{float(X[i, 0] * x0_scale)!r},{float(X[i, 1])!r},{i % 2},{float(Y[i])!r}" for i in range(n)]
         path.write_text("x0,x1,t,y\n" + "\n".join(rows) + "\n")
         return ["--input", str(path), "--covariates", "x0,x1", "--treatment-col", "t", "--outcome-col", "y"]
@@ -469,6 +469,18 @@ class TestConfigAndErrors:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.count(b"\n") == 1, proc.stderr
         assert proc.stderr.startswith(b"error: --gamma: gamma=1e+308 is too large"), proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("policy", [["--iters", "5", "--restarts", "1"], ["--policy", "tree", "--depth", "1"]])
+    def test_overflowing_outcome_named(self, policy, tmp_path):
+        # Outcomes near 1e307 are finite, but their weighted sums overflow into
+        # a NaN worst case: refused naming the column, before any numpy warning.
+        data = self._csv(tmp_path / "big.csv", n=200, y_scale=1e307)
+        proc = _child(["fit", *data, "--gamma", "1.5", "--baseline", "uniform", *policy,
+                       "--output-dir", str(tmp_path / "out")])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count(b"\n") == 1, proc.stderr
+        assert proc.stderr.startswith(b"error: column 'y' is too large in magnitude for gamma=1.5"), proc.stderr
         assert not (tmp_path / "out").exists()
 
     def test_huge_gamma_tree_fit_is_quiet(self, tmp_path):

@@ -254,6 +254,44 @@ class TestGammaPath:
             gamma_path_fit(data, [0.9, 1.2], PI0, FitOptions(iters=5, restarts=1))
 
 
+def _one_arm_dataset():
+    return Dataset(X=np.zeros((20, 1)), T=np.zeros(20, dtype=np.int64), Y=np.ones(20), m=2, e_hat=np.full(20, 0.5))
+
+
+_OPTS = FitOptions(iters=3, restarts=1)
+
+
+@pytest.mark.parametrize(
+    "fit, error, match",
+    [
+        (lambda d, s: subgradient_fit(d, s, PI0, _OPTS, extra_inits=[np.zeros((2, 2))]), ValueError,
+         r"warm start has shape \(2, 2\), expected \(1, 3\)"),
+        (lambda d, s: tree_partition_fit(d, s, PI0, depth=-1), ValueError, "depth must be >= 0"),
+        (lambda d, s: tree_partition_fit(d, s, PI0, depth=1, min_leaf=0), ValueError, "min_leaf must be >= 1"),
+        (lambda d, s: gamma_path_fit(_one_arm_dataset(), [1.0, 1.5], PI0, _OPTS), SolverError,
+         r"gamma path failed at gamma=1\.0: treatment arm 1 has no observations"),
+    ],
+    ids=["warm-start-shape", "negative-depth", "min-leaf-zero", "gamma-path-names-gamma"],
+)
+def test_library_refusals(fit, error, match):
+    data = balanced_dataset(40)
+    with pytest.raises(error, match=match):
+        fit(data, UncertaintySpec.from_dataset(data, 1.5))
+
+
+@pytest.mark.parametrize("policy", ["logistic", "tree"])
+def test_overflowing_outcomes_certify_nothing(policy):
+    # Weighted sums of outcomes near 1e307 overflow into a NaN worst case,
+    # which no fit may return as its certificate.
+    data = balanced_dataset(41, n=200, y=lambda X, T, rng: 1e307 * rng.uniform(-1.0, 1.0, len(T)))
+    spec = UncertaintySpec.from_dataset(data, 1.5)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverError, match="not a finite number"):
+        if policy == "tree":
+            tree_partition_fit(data, spec, uniform_baseline(2), depth=1)
+        else:
+            subgradient_fit(data, spec, uniform_baseline(2), _OPTS)
+
+
 def sign_instance(seed, n=120, gap=0.5):
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(gap, 2.0, n) * rng.choice([-1.0, 1.0], n)

@@ -130,3 +130,17 @@ def test_every_imported_name_is_used_or_exported():
         unused |= {(name, bound) for bound in _imported_names(tree) if bound not in used}
     assert unused - BENCHMARK_ONLY_IMPORTS == set(), "imported and never used"
     assert BENCHMARK_ONLY_IMPORTS - unused == set(), "no longer an unused import: drop it from the list"
+
+
+def _called_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            yield getattr(node.func, "id", None) or getattr(node.func, "attr", None), node.lineno
+
+
+def test_the_per_arm_chain_is_called_only_in_subproblem():
+    # Sorting, the box solve and the budgeted core run only under subproblem.solve_rows.
+    chain = {"box_order", "box_rows", "budgeted_rows"}
+    calls = {name: [(fn, line) for fn, line in _called_names(tree) if fn in chain] for name, tree in _module_trees()}
+    assert {fn for fn, _ in calls.pop("crpolicy.subproblem")} == chain
+    assert {name: found for name, found in calls.items() if found} == {}

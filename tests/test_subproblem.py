@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from crpolicy import solve_box, solve_budgeted, weight_bounds
 from crpolicy.evaluation.estimators import ArmKernel
-from crpolicy.subproblem import arm_budget, box_order, box_rows, budgeted_rows, threshold_values
+from crpolicy.subproblem import arm_budget, box_order, box_rows, solve_rows, threshold_values
 from oracles import oracle_box, oracle_budgeted, reference_budgeted
 
 
@@ -358,10 +358,15 @@ class TestBudgetedCore:
         shares = ArmKernel(spec, data.arms()).shares(r)
         for idx, lam in zip(data.arms().indices, lams):
             w, a, b = spec.restrict(idx)
+            _, values, multipliers, _ = solve_rows(r.take(idx, axis=1), a, b, arm_budget(a, b, w, lam))
+            assert (multipliers is None) == (lam == 0.0)
             for j in range(rows):
                 ref = reference_budgeted(r[j, idx], a, b, w, lam)
                 _same_solution(solve_budgeted(r[j, idx], a, b, w, lam), ref)
                 assert shares[j, idx].tobytes() == (ref.weights / ref.weights.sum()).tobytes()
+                assert values[j].tobytes() == np.float64(ref.value).tobytes()
+                if multipliers is not None:
+                    assert multipliers[j].tobytes() == np.float64(ref.multiplier).tobytes()
 
     def test_binds_only_past_the_nearest_corner(self):
         # No box corner deviates from w_tilde by less than the nearest one.
@@ -378,17 +383,13 @@ class TestBudgetedCore:
         lam = self._budget(rng, "mixed", r, a, b, w)
         budget = arm_budget(a, b, w, lam)
         assert not budget.binds
-        box = box_rows(r, a, b, box_order(r, a, b)[0])[1]
-        weights, binding, values, multipliers = budgeted_rows(r, budget, box)
-        assert 0 < binding.size < len(r)
+        weights, values, multipliers, _ = solve_rows(r, a, b, budget)
+        assert 0 < np.count_nonzero(multipliers) < len(r)
         for j, row in enumerate(r):
             ref = reference_budgeted(row, a, b, w, lam)
             _same_solution(solve_budgeted(row, a, b, w, lam), ref)
             assert weights[j].tobytes() == ref.weights.tobytes()
-            assert (ref.multiplier == 0.0) == (j not in binding)
-        for j, value, multiplier in zip(binding, values, multipliers):
-            ref = reference_budgeted(r[j], a, b, w, lam)
-            assert (value, multiplier) == (ref.value, ref.multiplier)
+            assert (values[j], multipliers[j]) == (ref.value, ref.multiplier)
 
 
 def _tied_rows(rng, rows):
@@ -413,12 +414,14 @@ class TestBoxRows:
             r, a, b = _tied_rows(rng, 25)
             pre = np.argsort(b - a, kind="stable")
             order = pre[np.argsort(r[:, pre], axis=1, kind="stable")]
-            lams, weights = box_rows(r, a, b, order)
+            lams, weights, cuts = box_rows(r, a, b, order)
+            solved, values, thresholds, _ = solve_rows(r, a, b, pre=pre)
             for j in range(r.shape[0]):
                 sol = solve_box(r[j], a, b)
                 k_star = int(np.argmax(lams[j]))
-                assert weights[j].tobytes() == sol.weights.tobytes()
-                assert (float(lams[j, k_star]), k_star + 1) == (sol.value, sol.threshold)
+                assert weights[j].tobytes() == sol.weights.tobytes() == solved[j].tobytes()
+                assert (float(lams[j, k_star]), k_star + 1, cuts[j] + 1) == (sol.value, sol.threshold, sol.threshold)
+                assert (float(values[j]), int(thresholds[j])) == (sol.value, sol.threshold)
                 single, row_order = threshold_values(r[j], a, b)
                 assert lams[j].tobytes() == single.tobytes()
                 assert np.array_equal(order[j], row_order)
@@ -434,7 +437,7 @@ class TestBoxRows:
     @pytest.mark.parametrize("rho", [None, 0.4])
     def test_kernel_shares_equal_worst_case_solution(self, rho, monkeypatch):
         from crpolicy import Dataset, UncertaintySpec
-        from crpolicy.evaluation import estimators
+        from crpolicy import subproblem
         from crpolicy.evaluation.estimators import worst_case_solution
 
         def checked_box_rows(r, a, b, order):
@@ -443,7 +446,7 @@ class TestBoxRows:
                 assert np.array_equal(row_order, np.lexsort((b - a, row)))
             return box_rows(r, a, b, order)
 
-        monkeypatch.setattr(estimators, "box_rows", checked_box_rows)
+        monkeypatch.setattr(subproblem, "box_rows", checked_box_rows)
         rng = np.random.default_rng(13)
         for _ in range(20):
             n, m = int(rng.integers(3, 200)), int(rng.integers(2, 4))
@@ -513,7 +516,7 @@ class TestBoxRows:
     @pytest.mark.parametrize("rows", [1, 3])
     def test_kernel_on_binary_contrasts_equals_worst_case_solution(self, rows, rho, monkeypatch):
         from crpolicy import Dataset, UncertaintySpec
-        from crpolicy.evaluation import estimators
+        from crpolicy import subproblem
         from crpolicy.evaluation.estimators import worst_case_solution
 
         def checked_box_rows(r, a, b, order):
@@ -521,7 +524,7 @@ class TestBoxRows:
                 assert np.array_equal(row_order, np.lexsort((b - a, row)))
             return box_rows(r, a, b, order)
 
-        monkeypatch.setattr(estimators, "box_rows", checked_box_rows)
+        monkeypatch.setattr(subproblem, "box_rows", checked_box_rows)
         rng = np.random.default_rng(15)
         n = 2 * 10**4
         data = Dataset(X=np.zeros((n, 1)), T=np.arange(n) % 2, Y=np.ones(n), m=2,
