@@ -19,11 +19,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .data import ColumnSchema, Dataset, estimate_propensities, load_dataset
+from .data import ColumnSchema, Dataset, check_clip_eps, estimate_propensities, load_dataset
 from .exceptions import ConvergenceError, CovariateOverflowError, CRPolicyError, DatasetError
 from .optimize import FitOptions, FitResult, calibration_matrix, gamma_path_fit, subgradient_fit, tree_partition_fit
 from .policy import ConstantPolicy, LogisticPolicy, Policy, control_baseline, policy_from_json, uniform_baseline
-from .uncertainty import UncertaintySpec, weight_bounds
+from .uncertainty import UncertaintySpec, check_fraction, check_weighted_sums, weight_bounds
 from .evaluation.audit import odds_ratio_audit
 from .evaluation.estimators import hajek_regret, ht_test_regret, ipw_value, true_regret, worst_case_regret
 from .evaluation.simulation import SimParamsBinary, SimParamsMulti, simulate_binary, simulate_multi
@@ -205,6 +205,14 @@ _READ_ONLY_WITH = {
 # The least value of each integer option that a run can honour.
 _AT_LEAST = {"reps": 1, "n": 1, "test_n": 1, "depth": 0, "min_leaf": 1}
 
+# The library's own checks of options it reads, by dest, run before any
+# input is read: each raises ValueError on a value the library refuses.
+_CHECKS = {
+    **{name: lambda value, name=name: FitOptions(**{name: value}) for name in _FITTING},
+    "rho": lambda rho: rho is None or check_fraction(rho),
+    "clip_eps": check_clip_eps,
+}
+
 
 def _config_value(action: argparse.Action, val, where: str):
     """Read a config value as the flag of `action` reads its argument.
@@ -260,17 +268,23 @@ def _merge_config(args: argparse.Namespace, options: Dict[str, argparse.Action])
     for key, least in _AT_LEAST.items():
         if merged[key] < least:
             raise CRPolicyError(f"{_flag(key)} must be >= {least}, not {merged[key]}")
+    for key, check in _CHECKS.items():
+        try:
+            check(merged[key])
+        except ValueError as exc:
+            raise CRPolicyError(f"{_flag(key)}: {exc}") from None
     return merged
 
 
 def _gammas(cfg: dict) -> List[float]:
     gammas = cfg["gamma"]
     if cfg["log_gamma"]:
-        gammas = [float(np.exp(g)) for g in gammas]
+        with np.errstate(over="ignore"):  # exp past the float range is inf, refused below
+            gammas = [float(np.exp(g)) for g in gammas]
     if not gammas:
         raise CRPolicyError("--gamma needs at least one value")
-    if any(g < 1.0 for g in gammas):
-        raise CRPolicyError("every gamma must be >= 1 (after exp when --log-gamma)")
+    if not all(1.0 <= g < np.inf for g in gammas):
+        raise CRPolicyError(f"--gamma: gammas must be finite and >= 1 (after exp when --log-gamma), got {gammas}")
     if any(g2 <= g1 for g1, g2 in zip(gammas, gammas[1:])):
         raise CRPolicyError("--gamma values must be strictly ascending")
     # A gamma's output label is its %g, which rounds monotonically: only neighbours can share one.
@@ -322,15 +336,10 @@ def _check_gammas(data: Dataset, gammas: List[float], outcome: str) -> None:
         b_max = float(weight_bounds(1.0 / data.e_hat, gammas[-1])[1].max(initial=0.0))
     except ValueError as exc:
         raise CRPolicyError(f"--gamma: {exc}") from None
-    # A contrast r_i = (pi - pi0)(T_i | X_i) Y_i has |r_i| <= |Y_i|, so each
-    # term W_i r_i or (a_i - b_i) r_i a solver sums is within b_max y_max. The
-    # box scan's numerators add a prefix sum to a difference of two sums (3 n
-    # terms), and the split screen's add a unit's flip b_i (r_alt - r_i) per
-    # step to sum b r and then active spans (at most 4 n): 4 n covers both.
-    y_max = float(np.abs(data.Y).max(initial=0.0))
-    if not np.isfinite(4.0 * data.n * b_max * y_max):
-        raise CRPolicyError(f"column {outcome!r} is too large in magnitude for gamma={gammas[-1]:g}: "
-                            f"outcomes up to {y_max:g} overflow the weighted sums")
+    try:
+        check_weighted_sums(data.Y, b_max)
+    except ValueError as exc:
+        raise CRPolicyError(f"column {outcome!r} is too large in magnitude for gamma={gammas[-1]:g}: {exc}") from None
 
 
 def _baseline(cfg: dict, data: Dataset) -> Policy:
@@ -365,12 +374,7 @@ def _for_data(pol: Policy, data: Dataset, path: str) -> Policy:
 
 
 def _fit_options(cfg: dict) -> FitOptions:
-    """cfg's FitOptions; a setting that FitOptions refuses is named by its flag."""
-    for name in _FITTING:
-        try:
-            FitOptions(**{name: cfg[name]})
-        except ValueError as exc:
-            raise CRPolicyError(f"{_flag(name)}: {exc}") from None
+    """cfg's FitOptions, whose settings `_merge_config` has checked one by one."""
     return FitOptions(**{name: cfg[name] for name in _FITTING}, fallback_to_baseline=not cfg["no_fallback"])
 
 
@@ -499,6 +503,9 @@ def _cmd_calibrate(cfg: dict) -> int:
 
 def _cmd_audit(cfg: dict) -> int:
     data = load_dataset(cfg["input"], _schema(cfg))
+    if data.m != 2:
+        raise CRPolicyError(f"{cfg['input']}: audit needs a binary treatment, "
+                            f"but column {cfg['treatment_col']!r} has {data.m} arms")
     ratios = odds_ratio_audit(data)
     write_audit_csv(_out(cfg, "audit_odds_ratios.csv"), ratios, names=cfg["covariates"])
     q = np.percentile(ratios, [2.5, 50, 97.5], axis=1)

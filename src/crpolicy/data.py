@@ -143,12 +143,8 @@ class Dataset:
                 raise DatasetError("Y must equal potential_Y[i, T[i]] exactly")
             pY = _frozen(pY)
 
-        object.__setattr__(self, "X", _frozen(X))
-        object.__setattr__(self, "T", _frozen(T))
-        object.__setattr__(self, "Y", _frozen(Y))
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "e_hat", e_hat)
-        object.__setattr__(self, "potential_Y", pY)
+        for name, value in dict(X=_frozen(X), T=_frozen(T), Y=_frozen(Y), m=m, e_hat=e_hat, potential_Y=pY).items():
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -451,11 +447,15 @@ def estimate_propensities(data: Dataset, clip_eps: float = 1e-3, max_iter: int =
     [clip_eps, 1 - clip_eps] when clip_eps > 0. Clipping keeps the inverse
     weights 1/e_hat finite; pass clip_eps=0 to disable it.
     """
-    if not 0.0 <= clip_eps < 0.5:
-        raise ValueError(f"clip_eps must lie in [0, 0.5), got {clip_eps}")
+    check_clip_eps(clip_eps)
     theta = fit_multinomial_logit(data.X, data.T, data.m, max_iter=max_iter)
     probs = propensity_matrix(data.X, theta)
     e = probs[np.arange(data.n), data.T]
     if clip_eps > 0.0:
         e = np.clip(e, clip_eps, 1.0 - clip_eps)
     return e
+
+
+def check_clip_eps(clip_eps: float) -> None:
+    if not 0.0 <= clip_eps < 0.5:
+        raise ValueError(f"clip_eps must lie in [0, 0.5), got {clip_eps}")

@@ -16,7 +16,7 @@ import numpy as np
 from ..data import ArmIndex, Dataset
 from ..policy import Policy
 from ..subproblem import _validated_bounds, arm_budget, solve_box, solve_budgeted, solve_rows
-from ..uncertainty import UncertaintySpec
+from ..uncertainty import UncertaintySpec, check_weighted_sums
 
 __all__ = [
     "hajek_regret",
@@ -43,6 +43,7 @@ def hajek_regret(pol: Policy, pi0: Policy, data: Dataset, W: np.ndarray) -> floa
         raise ValueError("weights must be finite")
     if data.n == 0 or W.min() <= 0:
         raise ValueError("weights must be positive (and the sample non-empty)")
+    check_weighted_sums(data.Y, W.max())
     r = _contrast(pol, pi0, data)
     arms = data.arms()
     arms.require_nonempty("hajek_regret")
@@ -65,10 +66,11 @@ def worst_case_solution(r: np.ndarray, spec: UncertaintySpec, arms: ArmIndex):
 
     Each arm's slice of r is solved exactly (box threshold scan or budgeted
     Dinkelbach) and the arm values are summed in arm order. Returns
-    (W, value). `ArmKernel` solves stacked rows of r the same way.
+    (W, value). `ArmKernel` solves stacked rows of r the same way. Contrasts
+    whose weighted sums overflow are refused, so the value is finite.
     """
-    W = np.empty(spec.n)
-    total = 0.0
+    W, total = np.empty(spec.n), 0.0
+    check_weighted_sums(r, spec.b.max(initial=0.0), "contrasts")
     for t, (idx, w, a, b) in enumerate(_arm_parts(spec, arms, r.size, "worst_case_solution")):
         # By name, not `solve_rows`: perfbench's tracer and self-test substitute these two.
         sol = solve_budgeted(r[idx], a, b, w, float(spec.lam[t])) if spec.budgeted else solve_box(r[idx], a, b)

@@ -69,23 +69,13 @@ def write_json(path, doc) -> str:
 
 
 def dataset_rows(data: Dataset, w_star: Optional[np.ndarray] = None):
-    header = [f"x{j}" for j in range(data.d)] + ["t", "y"]
-    if data.e_hat is not None:
-        header.append("e_nominal")
-    if w_star is not None:
-        header.append("w_star")
-    if data.potential_Y is not None:
-        header.extend(f"y_cf{t}" for t in range(data.m))
-    yield header
+    """The header, then one row per unit: x0..x{d-1}, t, y and each optional column the data has."""
+    pY = () if data.potential_Y is None else data.potential_Y.T
+    extra = [(name, col) for name, col in (("e_nominal", data.e_hat), ("w_star", w_star)) if col is not None]
+    extra += [(f"y_cf{t}", col) for t, col in enumerate(pY)]
+    yield [f"x{j}" for j in range(data.d)] + ["t", "y"] + [name for name, _ in extra]
     for i in range(data.n):
-        row = [_fmt(v) for v in data.X[i]] + [str(int(data.T[i])), _fmt(data.Y[i])]
-        if data.e_hat is not None:
-            row.append(_fmt(data.e_hat[i]))
-        if w_star is not None:
-            row.append(_fmt(w_star[i]))
-        if data.potential_Y is not None:
-            row.extend(_fmt(v) for v in data.potential_Y[i])
-        yield row
+        yield [_fmt(v) for v in data.X[i]] + [str(int(data.T[i])), _fmt(data.Y[i])] + [_fmt(c[i]) for _, c in extra]
 
 
 def write_dataset_csv(path, data: Dataset, w_star: Optional[np.ndarray] = None) -> None:
@@ -117,23 +107,16 @@ def write_audit_csv(path, ratios: np.ndarray, names: Optional[Sequence[str]] = N
 
 
 def summarize_curves(records: Sequence[dict]):
-    """Aggregate per-replication regrets into {method, gamma, mean, stderr, n}."""
-    keys = sorted({(rec["method"], float(rec["gamma"])) for rec in records})
+    """Aggregate per-replication regrets into {method, gamma, mean, stderr, n}, sorted by (method, gamma)."""
+    groups = {}
+    for rec in records:
+        groups.setdefault((rec["method"], float(rec["gamma"])), []).append(rec["true_regret"])
     out = []
-    for method, gamma in keys:
-        vals = np.array(
-            [rec["true_regret"] for rec in records if rec["method"] == method and float(rec["gamma"]) == gamma]
-        )
+    for (method, gamma), vals in sorted(groups.items()):
+        vals = np.array(vals)
         stderr = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
-        out.append(
-            {
-                "method": method,
-                "gamma": gamma,
-                "mean_regret": float(vals.mean()),
-                "stderr": stderr,
-                "n_reps": int(vals.size),
-            }
-        )
+        out.append({"method": method, "gamma": gamma, "mean_regret": float(vals.mean()), "stderr": stderr,
+                    "n_reps": int(vals.size)})
     return out
 
 

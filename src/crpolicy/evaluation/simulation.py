@@ -119,14 +119,7 @@ def simulate_binary(params: SimParamsBinary) -> SimulatedData:
 
     e_nominal_obs = np.where(T == 1, e_treat, 1.0 - e_treat)
     w_star_obs = np.where(T == 1, w_star_treat, 1.0 / (1.0 - e_true_treat))
-    data = Dataset(
-        X=X,
-        T=T,
-        Y=Y,
-        m=2,
-        e_hat=e_nominal_obs,
-        potential_Y=np.column_stack([y0, y1]),
-    )
+    data = Dataset(X=X, T=T, Y=Y, m=2, e_hat=e_nominal_obs, potential_Y=np.column_stack([y0, y1]))
     return SimulatedData(data=data, w_star=w_star_obs, e_treat=e_treat, g=g, xi=xi)
 
 
@@ -222,6 +215,4 @@ def simulate_multi(params: SimParamsMulti) -> SimulatedData:
     w_star_obs = 1.0 / probs_true[np.arange(n), T]
 
     data = Dataset(X=X, T=T, Y=Y, m=3, e_hat=e_nominal_obs, potential_Y=potential)
-    return SimulatedData(
-        data=data, w_star=w_star_obs, e_treat=nominal[:, 1], g=U, xi=xi
-    )
+    return SimulatedData(data=data, w_star=w_star_obs, e_treat=nominal[:, 1], g=U, xi=xi)

@@ -39,7 +39,7 @@ from .policy import (
 )
 # Not called here: perfbench's tracer self-test reads this binding.
 from .subproblem import solve_box  # noqa: F401
-from .uncertainty import UncertaintySpec
+from .uncertainty import UncertaintySpec, check_weighted_sums
 from .evaluation.estimators import ArmKernel, _arm_parts, worst_case_regret, worst_case_solution
 
 __all__ = [
@@ -144,9 +144,7 @@ class FitResult:
 def _certified(policy: Policy, objective: float, pi0: Policy, fallback: bool, **fit_fields) -> FitResult:
     """`policy` at its worst-case regret `objective`, or, with fallback on and that regret
     positive, the baseline at objective 0: always feasible, so no fit certifies worse.
-    A non-finite objective certifies nothing and is refused."""
-    if not np.isfinite(objective):
-        raise SolverError(f"the worst-case regret is {objective}, not a finite number")
+    The objective is finite: `worst_case_solution` refuses contrasts whose sums overflow."""
     if fallback and objective > 0.0:
         return FitResult(policy=pi0, objective=0.0, fell_back=True, **fit_fields)
     return FitResult(policy=policy, objective=objective, fell_back=False, **fit_fields)
@@ -160,6 +158,7 @@ class _SubgradientProblem:
     """Precomputed quantities shared by every restart on one dataset/spec."""
 
     def __init__(self, data: Dataset, spec: UncertaintySpec, pi0: Policy):
+        check_weighted_sums(data.Y, spec.b.max(initial=0.0))
         self.data = data
         self.spec = spec
         self.pi0 = pi0
@@ -274,6 +273,8 @@ def _gamma_path(data, gammas, pi0, opts, rho):
         raise ValueError("gammas must be strictly ascending")
 
     specs = [UncertaintySpec.from_dataset(data, g, rho=rho) for g in gammas]
+    if specs:  # the widest bounds, checked before the first fit
+        check_weighted_sums(data.Y, specs[-1].b.max(initial=0.0))
     fits: List[FitResult] = []
     candidates: List[LogisticPolicy] = []
     # cross[c][i] = objective of candidate c evaluated under gamma_i.
@@ -375,12 +376,14 @@ class _ArmSweep:
     into blocks of about sqrt(N / 2), and each step takes g at the block
     ends, from per-block totals that change by two items a step. The peak
     lies in the block before the first end where the next item's r >= g;
-    that block and the next, a margin for roundoff, are scanned in full. A
-    step with a NaN or infinite block-end ratio, and every step of a
-    `guarded` sweep, rescans every block through the same pass. Elsewhere
-    the value is the dense row's up to roundoff. A sweep costs O(L sqrt(N))
-    rather than the dense O(L N); at gamma = 1 every span is 0, every prefix
-    ratio is the same, and it costs O(L).
+    that block and the next, a margin for roundoff, are scanned in full.
+    Every step of a `guarded` sweep rescans every block through the same
+    pass. Elsewhere the value is the dense row's up to roundoff, and every
+    block-end ratio is finite: `_TreeBuilder` refuses outcomes whose sums
+    overflow, and the guard's roundoff bound keeps each computed
+    denominator above zero. A sweep costs O(L sqrt(N)) rather than the
+    dense O(L N); at gamma = 1 every span is 0, every prefix ratio is the
+    same, and it costs O(L).
     """
 
     def __init__(self, r, a, b, pos, r_alt):
@@ -436,30 +439,23 @@ class _ArmSweep:
         flip_at = np.full(self.span_c.size, L)
         flip_at[self.cur_at] = rank
         flip_at[self.alt_at] = rank
-        out = np.empty(L + 1)
-        dense = [np.arange(L + 1)] if self.guarded else []
-        if not self.guarded:
-            flips = np.empty(L, dtype=np.int64)  # flips[s - 1]: the unit that flips at step s
-            flips[rank] = np.arange(L)
-            totals = self.totals0
-            rows = max(1, _SWEEP_BLOCK // (self.n_blocks + 1 + 2 * self.width))
-            for s0 in range(0, L + 1, rows):
-                s = np.arange(s0, min(s0 + rows, L + 1))
-                first, begin, finite, totals = self._block_ends(s, flips, start, totals)
+        out, flips, totals = np.empty(L + 1), np.empty(L, dtype=np.int64), self.totals0
+        flips[rank] = np.arange(L)  # flips[s - 1]: the unit that flips at step s
+        # A guarded sweep scans every block at each step, any other the two its block ends name.
+        rows = max(1, _SWEEP_BLOCK // (flip_at.size if self.guarded else self.n_blocks + 1 + 2 * self.width))
+        for s0 in range(0, L + 1, rows):
+            s = np.arange(s0, min(s0 + rows, L + 1))
+            if self.guarded:
+                out[s] = self._prefix_max(s, np.arange(self.n_blocks + 1)[None], start[s], flip_at)
+            else:
+                first, begin, totals = self._block_ends(s, flips, start, totals)
                 out[s] = self._prefix_max(s, first[:, None] + np.arange(2), begin, flip_at)
-                dense.append(s[~finite])
-        # Steps with a non-finite block end, or all of a guarded sweep, rescan every block.
-        dense, rows = np.concatenate(dense), max(1, _SWEEP_BLOCK // flip_at.size)
-        for c in range(0, dense.size, rows):
-            s = dense[c: c + rows]
-            out[s] = self._prefix_max(s, np.arange(self.n_blocks + 1)[None], start[s], flip_at)
         return out
 
     def _block_ends(self, s, flips, start, totals):
         """For steps s: the block before the first block end where r_start >= g
         holds (block 0 if it holds at the start), the prefix sum before that
-        block, whether every block-end ratio is finite, and the per-block
-        totals at the last step."""
+        block, and the per-block totals at the last step."""
         # ends[:, q] sums through block q - 1 from the start in ends[:, 0].
         # A block's total is the previous step's, less the flipped unit's
         # current item, plus its alternative.
@@ -473,12 +469,8 @@ class _ArmSweep:
         totals = ends[-1, 1:].copy()
         ends[:, 0] = start[s]
         np.cumsum(ends, axis=1, out=ends)
-        # A NaN or infinite ratio leaves the test meaningless: the step
-        # rescans every block.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = ends.real / ends.imag
-        first = np.maximum((self.r_start >= g).argmax(axis=1) - 1, 0)
-        return first, ends[at, first], np.isfinite(g).all(axis=1), totals
+        first = np.maximum((self.r_start >= ends.real / ends.imag).argmax(axis=1) - 1, 0)
+        return first, ends[at, first], totals
 
     def _prefix_max(self, s, at, begin, flip_at):
         """For steps s, the largest prefix ratio over the items of blocks
@@ -489,7 +481,7 @@ class _ArmSweep:
         frac = np.where(inactive, 0j, self.span_c.reshape(-1, w)[at]).reshape(s.size, -1)
         frac[:, 0] += begin
         np.cumsum(frac, axis=1, out=frac)
-        # Denominators cancelled at a very large gamma give NaN or inf: values, not warnings.
+        # A guarded sweep's denominators may cancel to NaN or inf: values, not warnings.
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.divide(frac.real, frac.imag, out=frac.real).max(axis=1)
 
@@ -512,7 +504,8 @@ class _TreeBuilder:
     where the denominators cancel (gamma from about 1e9, by the arm's size):
     there the roundoff of the screen and of the exact objective alike can
     pass `tol`. A node of L units costs O(d L sqrt(n)) in its sweeps, where
-    the dense sweep cost O(d L n).
+    the dense sweep cost O(d L n). Outcomes whose weighted sums overflow
+    are refused before any sweep (`check_weighted_sums`).
     """
 
     def __init__(self, data: Dataset, spec: UncertaintySpec, pi0: Policy, min_leaf: int):
@@ -521,6 +514,7 @@ class _TreeBuilder:
                 "tree_partition_fit supports only the box uncertainty set; "
                 "the budget couples the objective across leaves"
             )
+        check_weighted_sums(data.Y, spec.b.max(initial=0.0))
         self.data = data
         self.spec = spec
         self.pi0 = pi0

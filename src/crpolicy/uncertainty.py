@@ -42,6 +42,22 @@ def weight_bounds(w_tilde: np.ndarray, gamma: float):
     return 1.0 + dev / gamma, 1.0 + dev * gamma
 
 
+def check_weighted_sums(y: np.ndarray, w_max: float, name: str = "outcomes") -> None:
+    """Refuse finite outcomes (or contrasts) y whose sums under weights up to
+    w_max overflow, before numpy sums them; non-finite y is left to
+    finiteness checks.
+
+    A contrast r_i = (pi - pi0)(T_i | X_i) Y_i has |r_i| <= |Y_i|, so each
+    term W_i r_i or (a_i - b_i) r_i a solver sums is within w_max y_max. The
+    box scan's numerators add a prefix sum to a difference of two sums (3 n
+    terms), and the split screen's add a unit's flip b_i (r_alt - r_i) per
+    step to sum b r and then active spans (at most 4 n): 4 n covers both.
+    """
+    y_max = float(np.abs(y).max(initial=0.0))
+    if y_max < np.inf and not np.isfinite(4.0 * y.size * float(w_max) * y_max):  # Python floats: no warning
+        raise ValueError(f"{name} up to {y_max:g} overflow the weighted sums")
+
+
 @dataclass(frozen=True)
 class UncertaintySpec:
     """Immutable bundle of (gamma, a, b, W_tilde) plus optional per-arm budgets.
@@ -113,8 +129,12 @@ def budget_from_fraction(spec: UncertaintySpec, arms: ArmIndex, rho: float) -> n
 
     Linear in rho; identically zero at rho = 0 or gamma = 1.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    check_fraction(rho)
     max_dev = np.maximum(spec.w_tilde - spec.a, spec.b - spec.w_tilde)
     arms.require_nonempty("cannot compute budget over an empty arm")
     return np.array([rho * float(max_dev[idx].mean()) for idx in arms.indices])
+
+
+def check_fraction(rho: float) -> None:
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho must lie in [0, 1], got {rho}")

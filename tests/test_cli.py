@@ -264,6 +264,16 @@ class TestAudit:
         assert len(rows) == 1 + 120
         assert all(float(v) > 0 for v in rows[1])
 
+    def test_non_binary_treatment_names_file_and_column(self, tmp_path, capsys):
+        path = tmp_path / "three.csv"
+        path.write_text("x0,arm,y\n" + "".join(f"{i * 0.1!r},{i % 3},{i % 2}\n" for i in range(30)))
+        rc = main(["audit", "--input", str(path), "--covariates", "x0", "--treatment-col", "arm",
+                   "--outcome-col", "y", "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: audit needs a binary treatment, but column 'arm' has 3 arms\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigAndErrors:
     def test_config_merge_flags_win(self, sim_csv, tmp_path):
@@ -373,15 +383,22 @@ class TestConfigAndErrors:
             ("simulate", {"seed": -3}, "--seed: seed must be >= 0"),
             ("fit", ["--policy", "tree", "--depth", "-1"], "--depth must be >= 0, not -1"),
             ("fit", {"policy": "tree", "min_leaf": 0}, "--min-leaf must be >= 1, not 0"),
+            ("fit", ["--rho", "nan"], "error: --rho: rho must lie in [0, 1], got nan"),
+            ("evaluate", ["--rho", "inf"], "error: --rho: rho must lie in [0, 1], got inf"),
+            ("calibrate", {"rho": 1.5}, "error: --rho: rho must lie in [0, 1], got 1.5"),
+            ("simulate", ["--rho", "-0.1"], "error: --rho: rho must lie in [0, 1], got -0.1"),
+            ("fit", ["--clip-eps", "nan"], "error: --clip-eps: clip_eps must lie in [0, 0.5), got nan"),
+            ("evaluate", {"clip_eps": 0.5}, "error: --clip-eps: clip_eps must lie in [0, 0.5), got 0.5"),
         ],
     )
-    def test_refusal_names_the_option(self, command, given, message, sim_csv, tmp_path, capsys):
-        # From a flag or from the config, a value refused below the CLI is named by its flag.
+    def test_refusal_names_the_option(self, command, given, message, tmp_path, capsys):
+        # From a flag or from the config, a value refused below the CLI is
+        # named by its flag, before the input (here absent) is read.
         if isinstance(given, dict):
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(given))
             given = ["--config", str(cfg)]
-        data = [] if command == "simulate" else [*_data_args(sim_csv), "--gamma", "1.0,1.5"]
+        data = [] if command == "simulate" else [*_data_args(tmp_path / "absent.csv")[:-2], "--gamma", "1.0,1.5"]
         assert main([command, *data, *given, "--output-dir", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -469,6 +486,16 @@ class TestConfigAndErrors:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.count(b"\n") == 1, proc.stderr
         assert proc.stderr.startswith(b"error: --gamma: gamma=1e+308 is too large"), proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_log_gamma_named(self, tmp_path):
+        # exp(1000) overflows to inf: one line naming --gamma, with no numpy
+        # warning, before the input is read.
+        proc = _child(["fit", *self._csv(tmp_path / "ok.csv"), "--log-gamma", "--gamma", "0,1000",
+                       "--output-dir", str(tmp_path / "out")])
+        assert proc.returncode == 2, proc.stderr
+        message = b"error: --gamma: gammas must be finite and >= 1 (after exp when --log-gamma), got [1.0, inf]\n"
+        assert proc.stderr == message
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("policy", [["--iters", "5", "--restarts", "1"], ["--policy", "tree", "--depth", "1"]])

@@ -24,7 +24,7 @@ from crpolicy import (
     worst_case_regret,
 )
 from crpolicy import optimize
-from crpolicy.evaluation.estimators import worst_case_solution
+from crpolicy.evaluation.estimators import hajek_regret, worst_case_solution, worst_case_weights
 from crpolicy.exceptions import EmptyArmError, SolverError
 from crpolicy.optimize import _TreeBuilder, _restart_rng
 from crpolicy.uncertainty import weight_bounds
@@ -281,15 +281,48 @@ def test_library_refusals(fit, error, match):
 
 @pytest.mark.parametrize("policy", ["logistic", "tree"])
 def test_overflowing_outcomes_certify_nothing(policy):
-    # Weighted sums of outcomes near 1e307 overflow into a NaN worst case,
-    # which no fit may return as its certificate.
+    # Weighted sums of outcomes near 1e307 would overflow into a NaN worst
+    # case, which no fit may return as its certificate: refused up front.
     data = balanced_dataset(41, n=200, y=lambda X, T, rng: 1e307 * rng.uniform(-1.0, 1.0, len(T)))
     spec = UncertaintySpec.from_dataset(data, 1.5)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverError, match="not a finite number"):
+    with pytest.raises(ValueError, match=r"^outcomes up to 9\.\d+e\+306 overflow the weighted sums$"):
         if policy == "tree":
             tree_partition_fit(data, spec, uniform_baseline(2), depth=1)
         else:
             subgradient_fit(data, spec, uniform_baseline(2), _OPTS)
+
+
+@pytest.mark.parametrize("low", [0.5, -1.0], ids=["positive", "signed"])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda d, s: worst_case_regret(uniform_baseline(2), PI0, d, s), "contrasts"),
+        (lambda d, s: worst_case_weights(uniform_baseline(2), PI0, d, s), "contrasts"),
+        (lambda d, s: hajek_regret(uniform_baseline(2), PI0, d, 1.0 / d.e_hat), "outcomes"),
+        (lambda d, s: subgradient_fit(d, s, PI0, _OPTS), "outcomes"),
+        (lambda d, s: gamma_path_fit(d, [1.0, 1.5], PI0, _OPTS), "outcomes"),
+        # Checked on Y before the tree's first objective, whose contrasts would be refused too.
+        (lambda d, s: tree_partition_fit(d, s, PI0, depth=1), "outcomes"),
+    ],
+    ids=["worst_case_regret", "worst_case_weights", "hajek_regret", "subgradient_fit", "gamma_path_fit",
+         "tree_partition_fit"],
+)
+def test_overflowing_outcomes_refused_before_numpy_warns(call, name, low):
+    # Finite outcomes near 1e307 whose weighted sums overflow at gamma 1.5.
+    # No np.errstate: a numpy overflow warning fails the test, so the
+    # ValueError comes before any sum is formed.
+    data = balanced_dataset(42, n=200, y=lambda X, T, rng: 1e307 * rng.uniform(low, 1.0, len(T)))
+    with pytest.raises(ValueError, match=rf"^{name} up to \S+ overflow the weighted sums$"):
+        call(data, UncertaintySpec.from_dataset(data, 1.5))
+
+
+def test_gamma_path_refuses_at_its_largest_gamma_before_any_fit(monkeypatch):
+    # 4 n max(b) max|Y| is finite at gamma = 1 (b = 2) but not at gamma = 1000.
+    data = balanced_dataset(43, n=200, y=lambda X, T, rng: 1e305 * rng.uniform(-1.0, 1.0, len(T)))
+    worst_case_regret(uniform_baseline(2), PI0, data, UncertaintySpec.from_dataset(data, 1.0))
+    monkeypatch.setattr(optimize, "subgradient_fit", lambda *args, **kw: pytest.fail("a fit ran"))
+    with pytest.raises(ValueError, match="outcomes up to .* overflow the weighted sums"):
+        gamma_path_fit(data, [1.0, 1000.0], PI0, _OPTS)
 
 
 def sign_instance(seed, n=120, gap=0.5):
@@ -934,12 +967,22 @@ class TestStackedRestarts:
         rng = np.random.default_rng(0)
         n = 60
         T = rng.permutation(np.arange(n) % 2)
-        data = Dataset(X=rng.uniform(1e3, 2e3, (n, 2)), T=T, Y=np.where(T == 1, 1e306, -1e306), m=2,
-                       e_hat=np.full(n, 0.5))
-        spec = UncertaintySpec.from_dataset(data, 1.5)
+        opts = FitOptions(iters=3, restarts=2)
+
+        def data(x_low, y):
+            return Dataset(X=rng.uniform(x_low, 2 * x_low, (n, 2)), T=T, Y=np.where(T == 1, y, -y), m=2,
+                           e_hat=np.full(n, 0.5))
+
+        # 4 n max(b) |Y| = 6e308 overflows: the outcomes are refused.
+        big = data(1e3, 1e306)
+        for fit in (subgradient_fit, reference_subgradient_fit):
+            with pytest.raises(ValueError, match="up to .* overflow the weighted sums"):
+                fit(big, UncertaintySpec.from_dataset(big, 1.5), PI0, opts)
+        # At 6e307 the sums pass, but covariates near 1e5 carry the subgradient past the float range.
+        wide = data(1e5, 1e305)
         for fit in (subgradient_fit, reference_subgradient_fit):
             with pytest.raises(SolverError, match="non-finite subgradient"):
-                fit(data, spec, PI0, FitOptions(iters=3, restarts=2))
+                fit(wide, UncertaintySpec.from_dataset(wide, 1.5), PI0, opts)
 
     def test_memory_is_flat_in_the_restart_count(self):
         rng = np.random.default_rng(1)
