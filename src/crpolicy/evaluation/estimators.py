@@ -15,7 +15,7 @@ import numpy as np
 
 from ..data import ArmIndex, Dataset
 from ..policy import Policy
-from ..subproblem import _validated_bounds, arm_budget, solve_box, solve_budgeted, solve_rows
+from ..subproblem import _EPS, _validated_bounds, arm_budget, solve_box, solve_budgeted, solve_rows
 from ..uncertainty import UncertaintySpec, check_weighted_sums
 
 __all__ = [
@@ -81,12 +81,31 @@ def worst_case_solution(r: np.ndarray, spec: UncertaintySpec, arms: ArmIndex):
 
 class ArmKernel:
     """The weights `worst_case_solution` gives each row of stacked contrasts,
-    bit for bit: one `subproblem.solve_rows` per arm. A spec's bounds are
-    validated once, and each arm keeps its stable order by b - a for the
-    sort. An arm whose contrasts tied on the previous call is sorted stably
-    at once, so contrasts that tie at every step (binary outcomes) are not
-    sorted twice. A budgeted spec's nominal weights and budgets are checked
-    once too, into one `ArmBudget` per arm."""
+    bit for bit, from one `subproblem.solve_rows` per arm of the rows not
+    known already. A spec's bounds are validated, and each arm's stable
+    order by b - a and `ArmBudget` made, once. An arm whose contrasts tied
+    on the previous call is sorted stably at once (binary outcomes tie at
+    every step).
+
+    A fixed arm (a == b, as at gamma = 1, or a zero budget) is solved once,
+    here. A row of another box arm keeps its last split while it provably
+    stands. With lam = r.W / sum W at the split, rho = max |r|, A = sum a
+    and S = sum b over k units: `box_rows` adds at most k terms in sequence,
+    so each lambda(j) it forms, and lam, is within delta = q rho / (1 - q),
+    q = (3k + 5) eps S / A, of its exact value. The exact lambda(j) rise to
+    the split's plateau (zero-span units may sit on either side) and fall
+    after it, and moving the nearest unit i of span s_i > 0 across lowers
+    lambda by s_i |r_i - lam| / (sum W +- s_i) >= s_i |r_i - lam| / S. So if
+    every unit of positive span is on its side of the computed lam by more
+    than delta (1 + 2 S / s), s the least positive span, no computed
+    lambda(j) off the plateau reaches one on it: the scan gives the same W,
+    row sum and shares, to the bit. The check asks twice that margin, for
+    its own rounding, and is not made where that reaches 2 rho (very large
+    gamma). Failing rows are solved; an arm whose rows all fail waits 1, 2,
+    4, ... calls before it checks again.
+
+    `shares` returns the kernel's own buffer, which the next call rewrites.
+    """
 
     def __init__(self, spec: UncertaintySpec, arms: ArmIndex):
         self.parts = _arm_parts(spec, arms, sum(idx.size for idx in arms.indices), "ArmKernel")
@@ -97,18 +116,79 @@ class ArmKernel:
         self.budgets = [None] * len(self.parts)
         if spec.budgeted:
             self.budgets = [arm_budget(a, b, w, float(lam)) for (_, w, a, b), lam in zip(self.parts, spec.lam)]
+        self.fixed, self.splits, self.out = [None] * len(self.parts), [None] * len(self.parts), None
+        for t, ((_, _, a, b), budget) in enumerate(zip(self.parts, self.budgets)):
+            if np.array_equal(a, b) or (budget is not None and budget.total == 0.0):
+                W = solve_rows(np.zeros((1, a.size)), a, b, budget, self.pre[t])[0]
+                self.fixed[t] = W[0] / W.sum(axis=1)
+            elif budget is None:
+                split = _Split(a, b)
+                self.splits[t] = split if split.margin < 2.0 else None
 
     def shares(self, r: np.ndarray) -> np.ndarray:
         """W_i / (sum of W over unit i's arm) for each row of r (R, n), at the row's worst-case W."""
         if not np.isfinite(r).all():
             raise ValueError("r, a, b must be finite")
-        out = np.empty_like(r)
-        for t, ((idx, _, a, b), budget) in enumerate(zip(self.parts, self.budgets)):
+        out = self.out
+        fresh = out is None or out.shape != r.shape
+        if fresh:  # kept once every arm is written
+            out, self.out = np.empty_like(r), None
+        for t, ((idx, _, a, b), budget, split) in enumerate(zip(self.parts, self.budgets, self.splits)):
+            if self.fixed[t] is not None:
+                if fresh:
+                    out[:, idx] = self.fixed[t]
+                continue
             rt = r.take(idx, axis=1)  # C order: r[:, idx] is column-major
+            todo = None if fresh or split is None else split.moved(rt, out, idx)  # None: every row
+            if todo is not None:
+                if not todo.size:
+                    continue
+                rt = rt[todo]
             W, _, _, self.tied[t] = solve_rows(rt, a, b, budget, self.pre[t], self.tied[t])
             # W is in C order, so each row sums as the 1-D W[idx] of one row does.
-            out[:, idx] = W / W.sum(axis=1)[:, None]
+            out[slice(None) if todo is None else todo[:, None], idx] = W / W.sum(axis=1)[:, None]
+            if split is not None and not split.skip:  # the next call checks
+                split.record(todo, W < b)
+        self.out = out
         return out
+
+
+class _Split:
+    """One box arm's split check (see `ArmKernel`): its margin per unit of
+    rho, its zero-span units (None when there are none), each row's side of
+    each unit at its last solve (-1 at a, 1 at b), and the calls to wait."""
+
+    def __init__(self, a, b):
+        span, total = b - a, float(b.sum())
+        q = (3 * a.size + 5) * _EPS * total / float(a.sum())
+        self.margin = 2.0 * q / (1.0 - q) * (1.0 + 2.0 * total / span[span > 0].min()) if q < 0.5 else np.inf
+        self.zero = span == 0 if np.any(span == 0) else None
+        self.side, self.wait, self.skip = None, 0, 0
+
+    def moved(self, r, out, idx):
+        """The rows of r whose split may have moved, or None for every row, as
+        while the arm waits. The others' shares, out[:, idx], stand."""
+        if self.skip:
+            self.skip -= 1
+            return None
+        gap = r - np.einsum("ij,ij->i", r, out.take(idx, axis=1))[:, None]
+        gap *= self.side
+        holds = gap > np.abs(r).max() * self.margin  # strict: at r = 0 no unit of positive span holds
+        if self.zero is not None:
+            holds |= self.zero
+        holds = holds.all(axis=1)
+        if not holds.any():
+            self.wait = self.skip = 2 * self.wait or 1
+            return None
+        self.wait = 0
+        return np.flatnonzero(~holds)
+
+    def record(self, rows, low) -> None:
+        side = np.where(low, np.int8(-1), np.int8(1))
+        if rows is None:
+            self.side = side
+        else:
+            self.side[rows] = side
 
 
 def worst_case_regret(pol: Policy, pi0: Policy, data: Dataset, spec: UncertaintySpec) -> float:
@@ -125,6 +205,7 @@ def ipw_value(pol: Policy, data: Dataset) -> float:
     """Plain inverse-propensity-weighted value estimate (1/n) sum pi(T_i|X_i) Y_i / e_i."""
     if data.e_hat is None:
         raise ValueError("ipw_value needs nominal propensities on the dataset")
+    check_weighted_sums(data.Y, 1.0 / float(data.e_hat.min(initial=1.0)))
     p_obs = pol.observed_prob(data.X, data.T)
     return float(np.mean(p_obs * data.Y / data.e_hat))
 

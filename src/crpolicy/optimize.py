@@ -170,6 +170,7 @@ class _SubgradientProblem:
         self.at_T = data.T * data.n + np.arange(data.n)  # (T_i, i) in a flattened (m, n) block
         self.delta = np.ascontiguousarray(one_hot_arms(data.T, data.m).T)
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused, below, without a warning
     def descend(self, theta: np.ndarray, opts: FitOptions) -> np.ndarray:
         """The averaged iterates of the runs from each row of theta (R, m-1, d+1). A step
         of row j takes g_j = sum_i (W_i / sum_{l in arm} W_l) Y_i grad pi_j(T_i | X_i)
@@ -183,9 +184,11 @@ class _SubgradientProblem:
             softmax(logistic_scores(theta, data.X, out=probs), axis=-2, out=probs)
             pT = probs.reshape(len(theta), -1).take(self.at_T, axis=1)
             c = kernel.shares((pT - self.p0_obs) * data.Y) * data.Y
-            g = np.swapaxes(score_grad_at(probs, c, pT, self.delta), 1, 2) @ self.Z
+            c *= pT  # in place: the kernel keeps its shares, so no second (R, n) block
+            g = np.swapaxes(score_grad_at(probs, c, self.delta), 1, 2) @ self.Z
             if not np.isfinite(g).all():
-                raise SolverError("non-finite subgradient")
+                raise SolverError(f"non-finite subgradient: outcomes up to {np.abs(data.Y).max():g} "
+                                  f"and covariates up to {np.abs(data.X).max():g} overflow it")
             g *= opts.eta0 * (k + 1) ** (-opts.kappa)
             theta -= g
             if opts.radius is not None:

@@ -146,20 +146,21 @@ def logistic_scores(theta: np.ndarray, X: np.ndarray, out: Optional[np.ndarray] 
     return s
 
 
-def score_grad_at(probs: np.ndarray, c: np.ndarray, pT: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """c_i * d pi(T_i | X_i) / d s_u for the non-reference scores u = 1..m-1, as (n, m-1).
+def score_grad_at(probs: np.ndarray, c: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """c_i (1[T_i = u] - pi_u(X_i)) for the non-reference scores u = 1..m-1, as
+    (n, m-1): w_i d pi(T_i | X_i) / d s_u when c_i = w_i pi(T_i | X_i).
 
-    probs are arm-major, (m, n) as `logistic_scores` lays them out, pT holds
-    them gathered at each T_i, and delta is `one_hot_arms(T, m)` transposed
-    to (m-1, n). d pi_t / d s_u = pi_t (1[t=u] - pi_u); the gradient in theta
-    is this row times (1, X_i), so sum_i c_i grad pi(T_i | X_i) is the
-    result's transpose times the design matrix. The result is formed
-    arm-major but stored unit-major and C-ordered: the BLAS product's
-    operand, and so its rounding, are those of a unit-major gradient block.
-    Stacked probs (R, m, n), c and pT (R, n) give (R, n, m-1).
+    probs are arm-major, (m, n) as `logistic_scores` lays them out, and
+    delta is `one_hot_arms(T, m)` transposed to (m-1, n). d pi_t / d s_u =
+    pi_t (1[t=u] - pi_u); the gradient in theta is this row times (1, X_i),
+    so sum_i w_i grad pi(T_i | X_i) is the result's transpose times the
+    design matrix. The result is formed arm-major but stored unit-major and
+    C-ordered: the BLAS product's operand, and so its rounding, are those of
+    a unit-major gradient block. Stacked probs (R, m, n) and c (R, n) give
+    (R, n, m-1).
     """
     out = np.empty(probs.shape[:-2] + (probs.shape[-1], probs.shape[-2] - 1))
-    np.multiply(delta - probs[..., 1:, :], (c * pT)[..., None, :], out=np.swapaxes(out, -1, -2))
+    np.multiply(delta - probs[..., 1:, :], c[..., None, :], out=np.swapaxes(out, -1, -2))
     return out
 
 
@@ -249,7 +250,7 @@ def policy_gradient(pol: Policy, t: int, x) -> np.ndarray:
         raise IndexError(f"arm {t} out of range for m={pol.m}")
     x = _one_unit(pol, x)
     probs = softmax(logistic_scores(pol.theta, x), axis=-2)
-    coef = score_grad_at(probs, np.ones(1), probs[t], one_hot_arms(np.array([t]), pol.m).T)
+    coef = score_grad_at(probs, probs[t], one_hot_arms(np.array([t]), pol.m).T)
     return np.outer(coef[0], _design_matrix(x)[0])
 
 

@@ -91,10 +91,11 @@ def threshold_values(r: np.ndarray, a: np.ndarray, b: np.ndarray):
 # Calls with fewer entries than this, R * k over all rows, sort stably
 # outright; the bound was set on one row. In one op of each benchmark
 # workload, a budgeted fit's 42 calls are (1, 75) and a depth-2 tree fit's
-# 12 are (1, 400), all stable; a simulate replication's 3,500 (6, ~100)
-# restart blocks take the SIMD sort and its 570 others, such as (5, 94), the
-# stable one. Per call on a 2-core Xeon, stable against SIMD: (1, 75) 4.4
-# against 6.3 us, (5, 94) 9.9 against 12.1, (6, 89) 11.0 against 14.2.
+# 12 are (1, 400). A simulate replication's learner re-solves only rows
+# whose split moved: of its ~980 calls, all but ~10 full (6, ~100) restart
+# blocks have 1 to 5 rows and sort stably. Per call on a 2-core Xeon,
+# stable against SIMD: (1, 75) 4.4 against 6.3 us, (5, 94) 9.9 against
+# 12.1, (6, 89) 11.0 against 14.2.
 _SIMD_SORT_MIN = 512
 
 

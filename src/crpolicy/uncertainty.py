@@ -54,7 +54,7 @@ def check_weighted_sums(y: np.ndarray, w_max: float, name: str = "outcomes") -> 
     step to sum b r and then active spans (at most 4 n): 4 n covers both.
     """
     y_max = float(np.abs(y).max(initial=0.0))
-    if y_max < np.inf and not np.isfinite(4.0 * y.size * float(w_max) * y_max):  # Python floats: no warning
+    if 0.0 < y_max < np.inf and not np.isfinite(4.0 * y.size * float(w_max) * y_max):  # Python floats: no warning
         raise ValueError(f"{name} up to {y_max:g} overflow the weighted sums")
 
 

@@ -529,6 +529,26 @@ class TestConfigAndErrors:
         assert f"error: {path}: column 'x0' is too large in magnitude".encode() in proc.stderr
         assert b"DLASCL" not in proc.stderr
 
+    def test_overflowing_subgradient_named(self, tmp_path):
+        # Outcomes of 1e305 pass the sums rule, but covariates near 1e5 carry
+        # the subgradient past the float range: one line naming both
+        # magnitudes, with no numpy warning on fd 2.
+        rng = np.random.default_rng(0)
+        n = 60
+        T = rng.permutation(np.arange(n) % 2)
+        X = rng.uniform(1e5, 2e5, (n, 2))
+        rows = [f"{float(X[i, 0])!r},{float(X[i, 1])!r},{T[i]},{1e305 if T[i] else -1e305!r},0.5" for i in range(n)]
+        path = tmp_path / "wide.csv"
+        path.write_text("x0,x1,t,y,e\n" + "\n".join(rows) + "\n")
+        proc = _child(["fit", "--input", str(path), "--covariates", "x0,x1", "--treatment-col", "t",
+                       "--outcome-col", "y", "--propensity-col", "e", "--gamma", "1.5", "--iters", "3",
+                       "--restarts", "1", "--output-dir", str(tmp_path / "out")])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count(b"\n") == 1, proc.stderr
+        message = f"non-finite subgradient: outcomes up to 1e+305 and covariates up to {X.max():g} overflow it"
+        assert proc.stderr == f"error: gamma path failed at gamma=1.5: {message}\n".encode()
+        assert not (tmp_path / "out").exists()
+
     def test_stalled_propensity_fit_names_the_file(self, tmp_path):
         # x0 ~ 1e100 does not overflow the Newton system but stops the fit
         # from converging: refused naming the file and --propensity-col.

@@ -295,6 +295,19 @@ class TestIPW:
         with pytest.raises(ValueError):
             ipw_value(TREAT_ALL, data)
 
+    def test_overflowing_outcomes_refused(self):
+        # Y / e_hat passes the float range: refused before numpy divides, so
+        # no RuntimeWarning (an error under this suite) and no inf.
+        rng = np.random.default_rng(8)
+        n = 200
+        data = Dataset(X=np.zeros((n, 1)), T=np.arange(n) % 2, Y=1e306 * rng.uniform(0.5, 1.0, n), m=2,
+                       e_hat=np.full(n, 1e-3))
+        with pytest.raises(ValueError, match=r"^outcomes up to 9\.\d+e\+305 overflow the weighted sums$"):
+            ipw_value(uniform_baseline(2), data)
+        # A million times smaller, they are summed, finitely.
+        small = Dataset(X=data.X, T=data.T, Y=data.Y * 1e-6, m=2, e_hat=data.e_hat)
+        assert np.isfinite(ipw_value(uniform_baseline(2), small))
+
 
 class TestHorvitzThompson:
     def test_baseline_zero(self):

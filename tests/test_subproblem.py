@@ -545,3 +545,113 @@ class TestBoxRows:
                 W, _ = worst_case_solution(r[j], spec, data.arms())
                 for idx in data.arms().indices:
                     assert shares[j, idx].tobytes() == (W[idx] / W[idx].sum()).tobytes()
+
+
+class TestKernelSkips:
+    """Fixed arms and splits that provably stand give each row the shares a
+    solve gives, to the bit, and spare the solve."""
+
+    @staticmethod
+    def _solved(r, spec, arms):
+        from crpolicy.evaluation.estimators import worst_case_solution
+
+        out = np.empty_like(r)
+        for j, row in enumerate(r):
+            W, _ = worst_case_solution(row, spec, arms)
+            for idx in arms.indices:
+                out[j, idx] = W[idx] / W[idx].sum()
+        return out
+
+    @staticmethod
+    def _contrasts(rng, kind, rows, n):
+        if kind == "binary":  # (pi - pi0) Y for binary Y: exact zeros, and ties on a coarse grid
+            return np.round(rng.uniform(-1.0, 1.0, (rows, n)), 2) * (rng.random((rows, n)) < 0.5)
+        r = rng.standard_normal((rows, n))
+        if kind == "signed-zero":
+            r[rng.random((rows, n)) < 0.2] = 0.0
+            r[rng.random((rows, n)) < 0.2] = -0.0
+        return r
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["continuous", "binary", "signed-zero"]),
+        gamma=st.sampled_from([1.0, 1.2, 1.5, 3.0, 1e13]),
+        rho=st.sampled_from([None, None, 0.0, 0.3]),
+        drift=st.sampled_from([0.0, 1e-12, 1e-7, 1e-3]),
+        zero_span=st.booleans(),
+    )
+    def test_drifting_contrasts_equal_worst_case_solution(self, seed, kind, gamma, rho, drift, zero_span):
+        from crpolicy import Dataset, UncertaintySpec
+
+        rng = np.random.default_rng(seed)
+        m = int(rng.choice([2, 3]))
+        n = int(rng.integers(m, 150))
+        e_hat = rng.uniform(0.1, 0.9, n)
+        if zero_span:  # e_hat = 1: a = b = 1
+            e_hat[rng.random(n) < 0.3] = 1.0
+        T = rng.permutation(np.arange(n) % m)
+        data = Dataset(X=np.zeros((n, 1)), T=T, Y=np.ones(n), m=m, e_hat=e_hat)
+        spec, arms = UncertaintySpec.from_dataset(data, gamma, rho=rho), data.arms()
+        kernel = ArmKernel(spec, arms)
+        r = self._contrasts(rng, kind, int(rng.integers(1, 5)), n)
+        for _ in range(16):
+            solved = self._solved(r, spec, arms)
+            assert kernel.shares(r).tobytes() == solved.tobytes()
+            if rng.random() < 0.15:  # R changes
+                rows = int(rng.integers(1, 5))
+                r = np.vstack([r, self._contrasts(rng, kind, rows, n)])[:rows]
+                continue
+            if kind == "binary":  # stay on the grid: redraw a few entries
+                fresh = self._contrasts(rng, kind, len(r), n)
+                r = np.where(rng.random(r.shape) < 10 * drift, fresh, r)
+            else:
+                r = r + drift * rng.standard_normal(r.shape)
+            # One unit i of a row moves to within a few ulps of its arm's value
+            # at the last weights, lam + share_i (r_i - old r_i), where a split
+            # check without margin errs.
+            j, i = int(rng.integers(len(r))), int(rng.integers(n))
+            idx, share = arms.indices[T[i]], solved[j, i]
+            lam = float(np.dot(r[j, idx], solved[j, idx]))
+            if share < 1.0:
+                at = (lam - share * r[j, i]) / (1.0 - share)
+                r[j, i] = at + float(rng.integers(-4, 5)) * np.spacing(at)
+
+    def test_fixed_arms_solve_once(self, monkeypatch):
+        from crpolicy import Dataset, UncertaintySpec
+        from crpolicy.evaluation import estimators
+
+        rng = np.random.default_rng(31)
+        n = 90
+        data = Dataset(X=np.zeros((n, 1)), T=np.arange(n) % 3, Y=np.ones(n), m=3, e_hat=rng.uniform(0.1, 0.9, n))
+        for spec in (UncertaintySpec.from_dataset(data, 1.0), UncertaintySpec.from_dataset(data, 1.5, rho=0.0)):
+            kernel = ArmKernel(spec, data.arms())
+            assert all(fixed is not None for fixed in kernel.fixed)
+            monkeypatch.setattr(estimators, "solve_rows", None)  # no solve after the constructor
+            for rows in (3, 3, 1):
+                r = rng.standard_normal((rows, n))
+                assert kernel.shares(r).tobytes() == self._solved(r, spec, data.arms()).tobytes()
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("gamma, skipped", [(1.5, True), (1e13, False)])
+    def test_a_fit_skips_most_solves(self, gamma, skipped, monkeypatch):
+        from crpolicy import (FitOptions, SimParamsBinary, UncertaintySpec, control_baseline, simulate_binary,
+                              subgradient_fit)
+        from crpolicy.evaluation import estimators
+
+        solved = []
+
+        def spy(r, *args):
+            solved.append(len(r))
+            return solve_rows(r, *args)
+
+        monkeypatch.setattr(estimators, "solve_rows", spy)
+        data = simulate_binary(SimParamsBinary(n=200, seed=3)).data
+        spec = UncertaintySpec.from_dataset(data, gamma)
+        iters, restarts = 200, 3
+        subgradient_fit(data, spec, control_baseline(2), FitOptions(iters=iters, restarts=restarts))
+        asked = iters * 2  # one block of 3 rows: a call per arm and step
+        if skipped:  # most calls, and most rows, after the first
+            assert len(solved) < asked / 2 and sum(solved) < restarts * asked / 4, (len(solved), sum(solved))
+        else:
+            assert solved == [restarts] * asked
