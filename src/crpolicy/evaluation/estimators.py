@@ -94,36 +94,39 @@ class ArmKernel:
     so each lambda(j) it forms, and lam, is within delta = q rho / (1 - q),
     q = (3k + 5) eps S / A, of its exact value. The exact lambda(j) rise to
     the split's plateau (zero-span units may sit on either side) and fall
-    after it, and moving the nearest unit i of span s_i > 0 across lowers
-    lambda by s_i |r_i - lam| / (sum W +- s_i) >= s_i |r_i - lam| / S. So if
-    every unit of positive span is on its side of the computed lam by more
-    than delta (1 + 2 S / s), s the least positive span, no computed
-    lambda(j) off the plateau reaches one on it: the scan gives the same W,
-    row sum and shares, to the bit. The check asks twice that margin, for
-    its own rounding, and is not made where that reaches 2 rho (very large
-    gamma). Failing rows are solved; an arm whose rows all fail waits 1, 2,
-    4, ... calls before it checks again.
+    after it, and moving the plateau's neighbour i, of span s_i > 0, across
+    lowers lambda by s_i |r_i - lam| / (sum W +- s_i) >= s_i |r_i - lam| / S.
+    So if every unit i of positive span is on its side of the computed lam
+    by more than delta (1 + 2 S / s_i), no computed lambda(j) off the
+    plateau reaches one on it: the scan gives the same W, row sum and
+    shares, to the bit. The check asks twice that margin, for its own
+    rounding, and is not made where that reaches 2 rho for the least span
+    (very large gamma). A row that fails takes one Dinkelbach step: W at b
+    where r > lam and at a elsewhere, and the same check at its value
+    r.W / sum W. Rows that fail both are solved; an arm whose rows all fail
+    waits 1, 2, 4, ... calls before it checks again.
 
     `shares` returns the kernel's own buffer, which the next call rewrites.
     """
 
     def __init__(self, spec: UncertaintySpec, arms: ArmIndex):
-        self.parts = _arm_parts(spec, arms, sum(idx.size for idx in arms.indices), "ArmKernel")
-        for *_, a, b in self.parts:
+        parts = _arm_parts(spec, arms, sum(idx.size for idx in arms.indices), "ArmKernel")
+        for *_, a, b in parts:
             _validated_bounds(a, b)
-        self.pre = [np.argsort(b - a, kind="stable") for *_, a, b in self.parts]
-        self.tied = [False] * len(self.parts)
-        self.budgets = [None] * len(self.parts)
+        self.budgets = [None] * len(parts)
         if spec.budgeted:
-            self.budgets = [arm_budget(a, b, w, float(lam)) for (_, w, a, b), lam in zip(self.parts, spec.lam)]
+            self.budgets = [arm_budget(a, b, w, float(lam)) for (_, w, a, b), lam in zip(parts, spec.lam)]
+        self.parts = [(idx, a, b) for idx, _, a, b in parts]  # a budget keeps its own w_tilde
+        self.pre = [np.argsort(b - a, kind="stable") for _, a, b in self.parts]
+        self.tied = [False] * len(self.parts)
         self.fixed, self.splits, self.out = [None] * len(self.parts), [None] * len(self.parts), None
-        for t, ((_, _, a, b), budget) in enumerate(zip(self.parts, self.budgets)):
+        for t, ((_, a, b), budget) in enumerate(zip(self.parts, self.budgets)):
             if np.array_equal(a, b) or (budget is not None and budget.total == 0.0):
                 W = solve_rows(np.zeros((1, a.size)), a, b, budget, self.pre[t])[0]
                 self.fixed[t] = W[0] / W.sum(axis=1)
             elif budget is None:
                 split = _Split(a, b)
-                self.splits[t] = split if split.margin < 2.0 else None
+                self.splits[t] = split if split.margin.max() < 2.0 else None
 
     def shares(self, r: np.ndarray) -> np.ndarray:
         """W_i / (sum of W over unit i's arm) for each row of r (R, n), at the row's worst-case W."""
@@ -133,13 +136,13 @@ class ArmKernel:
         fresh = out is None or out.shape != r.shape
         if fresh:  # kept once every arm is written
             out, self.out = np.empty_like(r), None
-        for t, ((idx, _, a, b), budget, split) in enumerate(zip(self.parts, self.budgets, self.splits)):
+        for t, ((idx, a, b), budget, split) in enumerate(zip(self.parts, self.budgets, self.splits)):
             if self.fixed[t] is not None:
                 if fresh:
                     out[:, idx] = self.fixed[t]
                 continue
             rt = r.take(idx, axis=1)  # C order: r[:, idx] is column-major
-            todo = None if fresh or split is None else split.moved(rt, out, idx)  # None: every row
+            todo = None if fresh or split is None else split.moved(rt, out, idx, a, b)  # None: every row
             if todo is not None:
                 if not todo.size:
                     continue
@@ -154,34 +157,50 @@ class ArmKernel:
 
 
 class _Split:
-    """One box arm's split check (see `ArmKernel`): its margin per unit of
-    rho, its zero-span units (None when there are none), each row's side of
-    each unit at its last solve (-1 at a, 1 at b), and the calls to wait."""
+    """One box arm's split check (see `ArmKernel`): each unit's margin per
+    unit of rho (-4 at zero span, below any gap r_i - lam >= -2 rho), each
+    row's side of each unit at its last solve (-1 at a, 1 at b), and the
+    calls to wait."""
 
     def __init__(self, a, b):
         span, total = b - a, float(b.sum())
         q = (3 * a.size + 5) * _EPS * total / float(a.sum())
-        self.margin = 2.0 * q / (1.0 - q) * (1.0 + 2.0 * total / span[span > 0].min()) if q < 0.5 else np.inf
-        self.zero = span == 0 if np.any(span == 0) else None
+        scale, self.margin = 2.0 * q / (1.0 - q) if q < 0.5 else np.inf, np.full(a.size, -4.0)
+        np.divide(2.0 * total, span, out=self.margin, where=span > 0)
+        np.multiply(self.margin + 1.0, scale, out=self.margin, where=span > 0)
         self.side, self.wait, self.skip = None, 0, 0
 
-    def moved(self, r, out, idx):
+    def moved(self, r, out, idx, a, b):
         """The rows of r whose split may have moved, or None for every row, as
-        while the arm waits. The others' shares, out[:, idx], stand."""
+        while the arm waits. The others' shares, out[:, idx], stand or are
+        written here."""
         if self.skip:
             self.skip -= 1
             return None
-        gap = r - np.einsum("ij,ij->i", r, out.take(idx, axis=1))[:, None]
-        gap *= self.side
-        holds = gap > np.abs(r).max() * self.margin  # strict: at r = 0 no unit of positive span holds
-        if self.zero is not None:
-            holds |= self.zero
-        holds = holds.all(axis=1)
-        if not holds.any():
-            self.wait = self.skip = 2 * self.wait or 1
-            return None
+        bound = np.abs(r).max() * self.margin  # at r = 0 no unit of positive span holds
+        lam = np.einsum("ij,ij->i", r, out.take(idx, axis=1))
+        todo = np.flatnonzero(~self._holds(r, lam, self.side, bound))
+        if todo.size:  # one Dinkelbach step from lam
+            r = r[todo]
+            high = r > lam[todo, None]
+            W, side = np.where(high, b, a), np.where(high, np.int8(1), np.int8(-1))
+            total = W.sum(axis=1)
+            stepped = self._holds(r, np.einsum("ij,ij->i", r, W) / total, side, bound)
+            if todo.size == len(lam) and not stepped.any():
+                self.wait = self.skip = 2 * self.wait or 1
+                return None
+            done = todo[stepped]
+            out[done[:, None], idx] = W[stepped] / total[stepped, None]
+            self.side[done], todo = side[stepped], todo[~stepped]
         self.wait = 0
-        return np.flatnonzero(~holds)
+        return todo
+
+    @staticmethod
+    def _holds(r, lam, side, bound):
+        """Whether each row's units all lie on their side of its lam by more than their bound."""
+        gap = r - lam[:, None]
+        gap *= side
+        return (gap > bound).all(axis=1)
 
     def record(self, rows, low) -> None:
         side = np.where(low, np.int8(-1), np.int8(1))

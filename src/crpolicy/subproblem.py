@@ -91,11 +91,12 @@ def threshold_values(r: np.ndarray, a: np.ndarray, b: np.ndarray):
 # Calls with fewer entries than this, R * k over all rows, sort stably
 # outright; the bound was set on one row. In one op of each benchmark
 # workload, a budgeted fit's 42 calls are (1, 75) and a depth-2 tree fit's
-# 12 are (1, 400). A simulate replication's learner re-solves only rows
-# whose split moved: of its ~980 calls, all but ~10 full (6, ~100) restart
-# blocks have 1 to 5 rows and sort stably. Per call on a 2-core Xeon,
-# stable against SIMD: (1, 75) 4.4 against 6.3 us, (5, 94) 9.9 against
-# 12.1, (6, 89) 11.0 against 14.2.
+# 12 are (1, 400). A simulate replication's learner solves only rows whose
+# split neither stands nor moves where one Dinkelbach step takes it: of its
+# ~76 calls, 6 are full (6, ~100) restart blocks, each arm's first step at
+# a gamma above 1, and the rest have 1 to 3 rows and sort stably. Per call
+# on a 2-core Xeon, stable against SIMD: (1, 75) 3.5 against 5.5 us,
+# (2, 100) 6.3 against 9.0, (6, 89) 9.2 against 13.2.
 _SIMD_SORT_MIN = 512
 
 

@@ -578,16 +578,19 @@ class TestKernelSkips:
         kind=st.sampled_from(["continuous", "binary", "signed-zero"]),
         gamma=st.sampled_from([1.0, 1.2, 1.5, 3.0, 1e13]),
         rho=st.sampled_from([None, None, 0.0, 0.3]),
-        drift=st.sampled_from([0.0, 1e-12, 1e-7, 1e-3]),
+        drift=st.sampled_from([0.0, 1e-12, 1e-7, 1e-3, 1e-2, 1e-1]),
         zero_span=st.booleans(),
+        wide_span=st.booleans(),
     )
-    def test_drifting_contrasts_equal_worst_case_solution(self, seed, kind, gamma, rho, drift, zero_span):
+    def test_drifting_contrasts_equal_worst_case_solution(self, seed, kind, gamma, rho, drift, zero_span, wide_span):
         from crpolicy import Dataset, UncertaintySpec
 
         rng = np.random.default_rng(seed)
         m = int(rng.choice([2, 3]))
         n = int(rng.integers(m, 150))
         e_hat = rng.uniform(0.1, 0.9, n)
+        if wide_span:  # spans down to ~1e-4 of the widest: per-unit and least-span margins differ
+            e_hat[rng.random(n) < 0.3] = rng.uniform(0.999, 1.0)
         if zero_span:  # e_hat = 1: a = b = 1
             e_hat[rng.random(n) < 0.3] = 1.0
         T = rng.permutation(np.arange(n) % m)
@@ -607,15 +610,22 @@ class TestKernelSkips:
                 r = np.where(rng.random(r.shape) < 10 * drift, fresh, r)
             else:
                 r = r + drift * rng.standard_normal(r.shape)
-            # One unit i of a row moves to within a few ulps of its arm's value
-            # at the last weights, lam + share_i (r_i - old r_i), where a split
-            # check without margin errs.
+            # One unit i of a row moves to within a few ulps of its arm's value,
+            # where a split check without margin errs: the value at the last
+            # weights, lam + share_i (r_i - old r_i), or the value one
+            # Dinkelbach step from there, with W at b where r > lam.
             j, i = int(rng.integers(len(r))), int(rng.integers(n))
             idx, share = arms.indices[T[i]], solved[j, i]
             lam = float(np.dot(r[j, idx], solved[j, idx]))
-            if share < 1.0:
+            if rng.random() < 0.5 and idx.size > 1:
+                W = np.where(r[j, idx] > lam, spec.b[idx], spec.a[idx])
+                own = float(W[np.flatnonzero(idx == i)[0]])
+                at = (float(np.dot(r[j, idx], W)) - own * r[j, i]) / (float(W.sum()) - own)
+            elif share < 1.0:
                 at = (lam - share * r[j, i]) / (1.0 - share)
-                r[j, i] = at + float(rng.integers(-4, 5)) * np.spacing(at)
+            else:
+                continue
+            r[j, i] = at + float(rng.integers(-4, 5)) * np.spacing(at)
 
     def test_fixed_arms_solve_once(self, monkeypatch):
         from crpolicy import Dataset, UncertaintySpec
@@ -633,10 +643,10 @@ class TestKernelSkips:
                 assert kernel.shares(r).tobytes() == self._solved(r, spec, data.arms()).tobytes()
             monkeypatch.undo()
 
-    @pytest.mark.parametrize("gamma, skipped", [(1.5, True), (1e13, False)])
-    def test_a_fit_skips_most_solves(self, gamma, skipped, monkeypatch):
-        from crpolicy import (FitOptions, SimParamsBinary, UncertaintySpec, control_baseline, simulate_binary,
-                              subgradient_fit)
+    @pytest.mark.parametrize("n, gamma, skipped", [(200, 1.5, True), (200, 1e13, False), (20_000, 1.2, True)])
+    def test_a_fit_skips_most_solves(self, n, gamma, skipped, monkeypatch):
+        from crpolicy import (Dataset, FitOptions, SimParamsBinary, UncertaintySpec, control_baseline,
+                              simulate_binary, subgradient_fit)
         from crpolicy.evaluation import estimators
 
         solved = []
@@ -646,12 +656,20 @@ class TestKernelSkips:
             return solve_rows(r, *args)
 
         monkeypatch.setattr(estimators, "solve_rows", spy)
-        data = simulate_binary(SimParamsBinary(n=200, seed=3)).data
+        if n == 200:  # binary outcomes: the split rarely moves between small steps
+            data = simulate_binary(SimParamsBinary(n=n, seed=3)).data
+            iters, restarts = 200, 3
+        else:  # continuous outcomes: the split moves on most steps, mostly where one Dinkelbach step takes it
+            rng = np.random.default_rng(5)
+            data = Dataset(X=rng.standard_normal((n, 5)), T=rng.integers(0, 3, n), Y=rng.standard_normal(n), m=3,
+                           e_hat=rng.uniform(0.2, 0.6, n))
+            iters, restarts = 30, 1
         spec = UncertaintySpec.from_dataset(data, gamma)
-        iters, restarts = 200, 3
-        subgradient_fit(data, spec, control_baseline(2), FitOptions(iters=iters, restarts=restarts))
-        asked = iters * 2  # one block of 3 rows: a call per arm and step
-        if skipped:  # most calls, and most rows, after the first
+        subgradient_fit(data, spec, control_baseline(data.m), FitOptions(iters=iters, restarts=restarts))
+        asked = iters * data.m  # one block of restarts: a call per arm and step
+        if not skipped:
+            assert solved == [restarts] * asked
+        elif n == 200:  # most calls, and most rows, after the first
             assert len(solved) < asked / 2 and sum(solved) < restarts * asked / 4, (len(solved), sum(solved))
         else:
-            assert solved == [restarts] * asked
+            assert sum(solved) < asked / 4, sum(solved)
