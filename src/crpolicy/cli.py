@@ -15,12 +15,13 @@ import functools
 import json
 import os
 import sys
+import warnings
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .data import ColumnSchema, Dataset, check_clip_eps, estimate_propensities, load_dataset
-from .exceptions import ConvergenceError, CovariateOverflowError, CRPolicyError, DatasetError
+from .exceptions import ConvergenceError, CovariateOverflowError, CRPolicyError, DatasetError, DatasetWarning
 from .optimize import FitOptions, FitResult, calibration_matrix, gamma_path_fit, subgradient_fit, tree_partition_fit
 from .policy import ConstantPolicy, LogisticPolicy, Policy, control_baseline, policy_from_json, uniform_baseline
 from .uncertainty import UncertaintySpec, check_fraction, check_weighted_sums, weight_bounds
@@ -307,10 +308,22 @@ def _schema(cfg: dict) -> ColumnSchema:
     )
 
 
+def _load(cfg: dict, schema: ColumnSchema) -> Dataset:
+    """The input's rows, refused in one line if there are none or a label below the largest never occurs."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DatasetWarning)  # an absent label is refused below
+        data = load_dataset(cfg["input"], schema)
+    absent = np.flatnonzero(np.bincount(data.T, minlength=data.m) == 0).tolist()
+    if absent:
+        labels = f"treatment labels {absent} of 0..{data.m - 1} never occur" if data.n else "no data rows, so no labels"
+        raise DatasetError(f"{cfg['input']}: {labels} in --treatment-col {schema.treatment!r}; every arm needs a row")
+    return data
+
+
 def _load_with_propensities(cfg: dict, gammas: List[float]) -> Dataset:
     """The input with its propensities, checked against the largest gamma."""
     schema = _schema(cfg)
-    data = load_dataset(cfg["input"], schema)
+    data = _load(cfg, schema)
     if data.e_hat is None:
         try:
             e_hat = estimate_propensities(data, clip_eps=cfg["clip_eps"])
@@ -502,7 +515,7 @@ def _cmd_calibrate(cfg: dict) -> int:
 
 
 def _cmd_audit(cfg: dict) -> int:
-    data = load_dataset(cfg["input"], _schema(cfg))
+    data = _load(cfg, _schema(cfg))
     if data.m != 2:
         raise CRPolicyError(f"{cfg['input']}: audit needs a binary treatment, "
                             f"but column {cfg['treatment_col']!r} has {data.m} arms")

@@ -82,10 +82,7 @@ def worst_case_solution(r: np.ndarray, spec: UncertaintySpec, arms: ArmIndex):
 class ArmKernel:
     """The weights `worst_case_solution` gives each row of stacked contrasts,
     bit for bit, from one `subproblem.solve_rows` per arm of the rows not
-    known already. A spec's bounds are validated, and each arm's stable
-    order by b - a and `ArmBudget` made, once. An arm whose contrasts tied
-    on the previous call is sorted stably at once (binary outcomes tie at
-    every step).
+    known already. Bounds are validated, and each `ArmBudget` made, once.
 
     A fixed arm (a == b, as at gamma = 1, or a zero budget) is solved once,
     here. A row of another box arm keeps its last split while it provably
@@ -104,7 +101,11 @@ class ArmKernel:
     (very large gamma). A row that fails takes one Dinkelbach step: W at b
     where r > lam and at a elsewhere, and the same check at its value
     r.W / sum W. Rows that fail both are solved; an arm whose rows all fail
-    waits 1, 2, 4, ... calls before it checks again.
+    waits 1, 2, 4, ... calls before it checks again. Rounding is relative
+    only above tiny, the least normal float: below it a result may move by
+    tiny eps / 2, at most eps^2 rho / 2 if rho >= tiny / eps, which the
+    doubled margin absorbs. Under that rho (contrasts all zero or subnormal,
+    which the rounded scan may tie) no row holds: every row is solved.
 
     `shares` returns the kernel's own buffer, which the next call rewrites.
     """
@@ -117,12 +118,10 @@ class ArmKernel:
         if spec.budgeted:
             self.budgets = [arm_budget(a, b, w, float(lam)) for (_, w, a, b), lam in zip(parts, spec.lam)]
         self.parts = [(idx, a, b) for idx, _, a, b in parts]  # a budget keeps its own w_tilde
-        self.pre = [np.argsort(b - a, kind="stable") for _, a, b in self.parts]
-        self.tied = [False] * len(self.parts)
         self.fixed, self.splits, self.out = [None] * len(self.parts), [None] * len(self.parts), None
         for t, ((_, a, b), budget) in enumerate(zip(self.parts, self.budgets)):
             if np.array_equal(a, b) or (budget is not None and budget.total == 0.0):
-                W = solve_rows(np.zeros((1, a.size)), a, b, budget, self.pre[t])[0]
+                W = solve_rows(np.zeros((1, a.size)), a, b, budget)[0]
                 self.fixed[t] = W[0] / W.sum(axis=1)
             elif budget is None:
                 split = _Split(a, b)
@@ -147,7 +146,7 @@ class ArmKernel:
                 if not todo.size:
                     continue
                 rt = rt[todo]
-            W, _, _, self.tied[t] = solve_rows(rt, a, b, budget, self.pre[t], self.tied[t])
+            W = solve_rows(rt, a, b, budget)[0]
             # W is in C order, so each row sums as the 1-D W[idx] of one row does.
             out[slice(None) if todo is None else todo[:, None], idx] = W / W.sum(axis=1)[:, None]
             if split is not None and not split.skip:  # the next call checks
@@ -161,6 +160,8 @@ class _Split:
     unit of rho (-4 at zero span, below any gap r_i - lam >= -2 rho), each
     row's side of each unit at its last solve (-1 at a, 1 at b), and the
     calls to wait."""
+
+    least_rho = float(np.finfo(float).tiny) / _EPS  # below it roundoff is not relative
 
     def __init__(self, a, b):
         span, total = b - a, float(b.sum())
@@ -177,7 +178,8 @@ class _Split:
         if self.skip:
             self.skip -= 1
             return None
-        bound = np.abs(r).max() * self.margin  # at r = 0 no unit of positive span holds
+        rho = np.abs(r).max()
+        bound = self.margin * (rho if rho >= self.least_rho else np.inf)  # -inf at zero span
         lam = np.einsum("ij,ij->i", r, out.take(idx, axis=1))
         todo = np.flatnonzero(~self._holds(r, lam, self.side, bound))
         if todo.size:  # one Dinkelbach step from lam

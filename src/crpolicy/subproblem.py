@@ -10,11 +10,11 @@ solver. The box case has a closed-form threshold solution: sort the units
 by r, and the optimum assigns a below some cut index and b at or above it,
 with the cut found by scanning a discrete concave unimodal sequence. The
 sort order is (r, b - a, index) ascending, the order of
-`np.lexsort((b - a, r))`; `box_order` is the one function that makes it.
-The budgeted case runs Dinkelbach's ratio iteration, each step a greedy
-fractional knapsack. The exact references that check them (corner
-enumeration for the box, a Charnes-Cooper LP for the budget) live with the
-tests.
+`np.lexsort((b - a, r))`; `box_order` makes it, by one SIMD sort and a
+stable sort again of the rows that tie. The budgeted case runs
+Dinkelbach's ratio iteration, each step a greedy fractional knapsack. The
+exact references that check them (corner enumeration for the box, a
+Charnes-Cooper LP for the budget) live with the tests.
 
 All functions operate on one treatment arm at a time. `solve_rows` is the
 one per-arm solve, of stacked rows of contrasts; `solve_box` and
@@ -84,52 +84,24 @@ def threshold_values(r: np.ndarray, a: np.ndarray, b: np.ndarray):
     Returns (lams, order) where order is the lexicographic sort permutation
     on (r_i, b_i - a_i) ascending.
     """
-    order = box_order(r[None], a, b)[0]
+    order = box_order(r[None], a, b)
     return box_rows(r[None], a, b, order)[0][0], order[0]
 
 
-# Calls with fewer entries than this, R * k over all rows, sort stably
-# outright; the bound was set on one row. In one op of each benchmark
-# workload, a budgeted fit's 42 calls are (1, 75) and a depth-2 tree fit's
-# 12 are (1, 400). A simulate replication's learner solves only rows whose
-# split neither stands nor moves where one Dinkelbach step takes it: of its
-# ~76 calls, 6 are full (6, ~100) restart blocks, each arm's first step at
-# a gamma above 1, and the rest have 1 to 3 rows and sort stably. Per call
-# on a 2-core Xeon, stable against SIMD: (1, 75) 3.5 against 5.5 us,
-# (2, 100) 6.3 against 9.0, (6, 89) 9.2 against 13.2.
-_SIMD_SORT_MIN = 512
-
-
-def box_order(r, a, b, pre=None, stable=False):
+def box_order(r, a, b):
     """Each row's sort permutation of r (R, k) on (r, b - a, index)
-    ascending, the order `np.lexsort((b - a, row))` gives, and whether a
-    row was seen to tie in r (-0.0 == 0.0 counts as a tie).
-
-    The rows are sorted by numpy's default argsort, which is not stable but
-    on x86 runs as a SIMD quicksort. Without a tie, the sorted permutation
-    is the only one. Rows with a tie are sorted again, stably, in `pre`, the
-    stable order of b - a (made here when not given), which breaks the tie
-    on (b - a, index). `stable` sorts that way from the start and still
-    looks for ties, for a caller that expects them. Fewer than
-    `_SIMD_SORT_MIN` entries are sorted that way without looking.
+    ascending, the order `np.lexsort((b - a, row))` gives: numpy's default
+    argsort (a SIMD quicksort on x86, not stable), whose permutation is the
+    only one unless a row ties in r (-0.0 == 0.0 counts), and such rows
+    again, stably, in the stable order of b - a, which breaks the tie.
     """
-    if r.size < _SIMD_SORT_MIN:
-        return _stable_order(r, a, b, pre), False
-    order = _stable_order(r, a, b, pre) if stable else np.argsort(r, axis=1)
+    order = np.argsort(r, axis=1)
     rs = _sorted_rows(r, order)[1]
-    tied = rs[:, 1:] == rs[:, :-1]
-    if not tied.any():
-        return order, False
-    if not stable:
-        again = np.flatnonzero(tied.any(axis=1))
-        order[again] = _stable_order(r[again], a, b, pre)
-    return order, True
-
-
-def _stable_order(r, a, b, pre):
-    """Each row of r sorted stably in pre, the stable order of b - a (made here when None)."""
-    pre = np.argsort(b - a, kind="stable") if pre is None else pre
-    return pre[np.argsort(r[:, pre], axis=1, kind="stable")]
+    again = np.flatnonzero((rs[:, 1:] == rs[:, :-1]).any(axis=1))
+    if again.size:
+        pre = np.argsort(b - a, kind="stable")
+        order[again] = pre[np.argsort(r[again[:, None], pre], axis=1, kind="stable")]
+    return order
 
 
 def _sorted_rows(r, order):
@@ -167,7 +139,7 @@ def solve_box(r, a, b) -> SubproblemSolution:
     """Maximize sum(r W) / sum(W) over the box prod_i [a_i, b_i], exactly, in
     O(k log k): `solve_rows` for one row."""
     r, a, b = _validated(r, a, b)
-    weights, values, cuts, _ = solve_rows(r[None], a, b)
+    weights, values, cuts = solve_rows(r[None], a, b)
     return SubproblemSolution(value=float(values[0]), weights=weights[0], threshold=int(cuts[0]))
 
 
@@ -215,32 +187,28 @@ def solve_budgeted(r, a, b, w_tilde, lam: float) -> SubproblemSolution:
     """Maximize sum(r W) / sum(W) over the box intersected with the budget
     (1/k) sum_i |W_i - W_tilde_i| <= lam, exactly: `solve_rows` for one row."""
     r, a, b = _validated(r, a, b)
-    weights, values, gains, _ = solve_rows(r[None], a, b, arm_budget(a, b, w_tilde, lam))
+    weights, values, gains = solve_rows(r[None], a, b, arm_budget(a, b, w_tilde, lam))
     return SubproblemSolution(float(values[0]), weights[0], multiplier=None if gains is None else float(gains[0]))
 
 
-def solve_rows(r, a, b, budget: Optional[ArmBudget] = None, pre=None, stable=False) -> tuple:
+def solve_rows(r, a, b, budget: Optional[ArmBudget] = None) -> tuple:
     """The worst case of each row of r (R, k) over one arm's checked bounds,
     cut by `budget` when given. At lam = 0 every row takes the nominal
-    weights. Otherwise the rows are sorted (`box_order`, with `pre` and
-    `stable`) and solved over the box (`box_rows`), unless the budget binds
-    on every row; a budget's rows then go to `budgeted_rows`. Returns each
-    row's weights, value and diagnostic (the 1-based box cut, or the budget
-    multiplier: 0 for a row that keeps its box weights, None for all at
-    lam = 0), and whether a row tied in r (`stable` when nothing is sorted).
+    weights. Otherwise the rows are sorted (`box_order`) and solved over the
+    box (`box_rows`), unless the budget binds on every row; a budget's rows
+    then go to `budgeted_rows`. Returns each row's weights, value and
+    diagnostic: the 1-based box cut, or the budget multiplier (0 for a row
+    that keeps its box weights, None for all at lam = 0).
     """
     rows = len(r)
     if budget is not None and budget.total == 0.0:  # lam = 0
         values = np.fromiter(map(np.dot, r, repeat(budget.w_tilde)), float, rows) / budget.w_sum
-        return np.tile(budget.w_tilde, (rows, 1)), values, None, stable
-    box = None
-    if budget is None or not budget.binds:
-        order, stable = box_order(r, a, b, pre, stable)
-        lams, weights, cut = box_rows(r, a, b, order)
-        box = weights, lams[np.arange(rows), cut]
-        if budget is None:
-            return (*box, cut + 1, stable)
-    return (*budgeted_rows(r, budget, box), stable)
+        return np.tile(budget.w_tilde, (rows, 1)), values, None
+    if budget is not None and budget.binds:
+        return budgeted_rows(r, budget)
+    lams, weights, cut = box_rows(r, a, b, box_order(r, a, b))
+    box = weights, lams[np.arange(rows), cut]
+    return (*box, cut + 1) if budget is None else budgeted_rows(r, budget, box)
 
 
 def budgeted_rows(r, budget: ArmBudget, box=None) -> tuple:

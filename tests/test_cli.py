@@ -469,6 +469,29 @@ class TestConfigAndErrors:
         assert b"never occur, more than the 4 data rows" in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "calibrate", "evaluate"])
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("1.0,0,1,0.5\n2.0,2,2,0.5\n3.0,0,3,0.5\n4.0,2,4,0.5\n",
+             "treatment labels [1] of 0..2 never occur in --treatment-col 't'; every arm needs a row"),
+            ("", "no data rows, so no labels in --treatment-col 't'; every arm needs a row"),
+        ],
+    )
+    @pytest.mark.parametrize("propensities", [[], ["--propensity-col", "e"]])
+    def test_empty_arm_refused_in_one_line(self, command, rows, message, propensities, tmp_path):
+        # In a child process, so a DatasetWarning would reach stderr as it does for a user.
+        path = tmp_path / "gap.csv"
+        path.write_text("x0,t,y,e\n" + rows)
+        policy = tmp_path / "pol.json"
+        policy.write_text(json.dumps({"variant": "constant", "m": 3, "payload": {"p": [0.3, 0.3, 0.4]}}))
+        argv = [command, "--input", str(path), "--covariates", "x0", "--treatment-col", "t", "--outcome-col", "y",
+                *propensities, "--gamma", "1.5", "--output-dir", str(tmp_path / "out")]
+        proc = _child(argv + (["--policy-file", str(policy)] if command == "evaluate" else []))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.decode() == f"error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def _csv(path, x0_scale=1.0, n=60, y_scale=1.0):
         rng = np.random.default_rng(0)
